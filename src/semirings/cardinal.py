@@ -24,6 +24,10 @@ class MissingOrderError(ValueError):
     """The operation needs an ordered carrier and none was supplied."""
 
 
+class SubsumLimitError(ValueError):
+    """A finite multiplicity is too large to enumerate its multiples."""
+
+
 # ---------------------------------------------------------------------------
 # cardinals
 
@@ -414,7 +418,7 @@ def _multiples(c: SigmaSemiring, v, m: Cardinal):
             if limit is None:
                 raise InternalConsistencyError(
                     f"unbounded multiple orbit of {v!r} on {c.name} was not declared")
-            raise ValueError(
+            raise SubsumLimitError(
                 f"multiplicity {m!r} of {v!r} too large for subsum enumeration")
     return vals, unbounded
 
@@ -762,15 +766,23 @@ def characteristic_cardinality(c: SigmaSemiring, bound: int = 3) -> Characterist
     mult_ladder = [fin(k) for k in range(1, bound + 1)] + [ALEPH0, UNCOUNTABLE]
     supports = [(v,) for v in sample]
     supports += [(u, v) for i, u in enumerate(sample) for v in sample[i + 1:]]
+    # the subfamily scans of different families overlap heavily, so each
+    # (support, multiplicities) pair reaches Sigma once per call
+    memo = {}
+
+    def sigma(support, mults):
+        key = (support, mults)
+        if key not in memo:
+            memo[key] = c.sigma(CardinalFamily(zip(support, mults)))
+        return memo[key]
+
     worst = FIN0
     for support in supports:
         for mults in _mult_choices(mult_ladder, len(support)):
-            f = CardinalFamily(zip(support, mults))
-            target = c.sigma(f)
+            target = sigma(support, mults)
             best = None
             for sub in _subfamilies(support, mults, bound):
-                g = CardinalFamily(zip(support, sub))
-                if c.sigma(g) == target:
+                if sigma(support, sub) == target:
                     size = card_sum(sub)
                     if best is None or size < best:
                         best = size

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .cardinal import (CardinalFamily, PartitionGeneratorConfig, SigmaSemiring,
-                       family_battery, family_from_json, is_d_complete,
-                       is_finitary, omega_sequence_battery,
+                       SubsumLimitError, family_battery, family_from_json,
+                       is_d_complete, is_finitary, omega_sequence_battery,
                        omega_sequence_from_json, parse_cardinal)
 from .cardinal import check_sigma_axioms as sigma_axiom_battery
 from .completion import (NotOrderableError, completion_of_finite, sim_verdict)
@@ -35,13 +35,21 @@ class RunConfig:
     families: int = 500
     sequences: int = 200
     triples: int = 300
-    maxlen: int = 3
     cap: int = 3
     fmt: str = "human"
 
 
 class InputError(Exception):
     """Anything wrong with the request itself; mapped to exit code 2."""
+
+
+def _gallery_member(name: str):
+    """A gallery member by registry name; unknown or malformed names are
+    input errors."""
+    try:
+        return gallery_semiring(name)
+    except (KeyError, ValueError) as e:
+        raise InputError(e.args[0] if e.args else str(e)) from None
 
 
 def _load_finite(source: str):
@@ -55,10 +63,7 @@ def _load_finite(source: str):
             raise InputError(f"cannot read {source}: {e}") from None
         except StructureError as e:
             raise InputError(f"{source}: {e}") from None
-    try:
-        member = gallery_semiring(source)
-    except (KeyError, ValueError) as e:
-        raise InputError(str(e)) from None
+    member = _gallery_member(source)
     if isinstance(member, FiniteSemiring):
         return member, None
     if isinstance(member, SigmaSemiring) and member.is_finite:
@@ -79,10 +84,7 @@ def _load_sigma(source: str) -> SigmaSemiring:
             return completion_of_finite(s, order).semiring
         except NotOrderableError as e:
             raise InputError(f"{source}: {e}") from None
-    try:
-        member = gallery_semiring(source)
-    except (KeyError, ValueError) as e:
-        raise InputError(str(e)) from None
+    member = _gallery_member(source)
     if isinstance(member, FiniteSemiring):
         return completion_of_finite(member).semiring
     if not member.has_sigma:
@@ -249,7 +251,10 @@ def cmd_finitary(cfg: RunConfig) -> int:
         # one {"family": {...}} document per line
         fams = [family_from_json(c, line)
                 for line in _read_lines(cfg.inputs[1]) if line.strip()]
-    ok, witness = is_finitary(c, fams)
+    try:
+        ok, witness = is_finitary(c, fams)
+    except SubsumLimitError as e:
+        raise InputError(f"{cfg.inputs[0]}: {e}") from None
     payload = {"command": "finitary", "input": cfg.inputs[0], "finitary": ok,
                "families": len(fams)}
     if not ok:
@@ -301,7 +306,7 @@ def cmd_gallery(cfg: RunConfig) -> int:
     if not cfg.inputs:
         _emit(cfg, {"command": "gallery", "names": gallery_names()})
         return 0
-    member = gallery_semiring(cfg.inputs[0])
+    member = _gallery_member(cfg.inputs[0])
     if isinstance(member, FiniteSemiring):
         payload = {"command": "gallery", "name": cfg.inputs[0],
                    "kind": "finite semiring", "elements": list(member.elements)}
@@ -314,9 +319,11 @@ def cmd_gallery(cfg: RunConfig) -> int:
                    "sample": [member.label_of(v) for v in member.sample(8)]}
         if member.has_sigma:
             payload["sigma-table"] = _sigma_table(member, member.sample(4))
-        report = sigma_axiom_battery(member, PartitionGeneratorConfig(
-            seed=cfg.seed, families=max(40, cfg.families // 10)))
-        payload["sigma-axioms"] = "pass" if report.passed else "fail"
+            report = sigma_axiom_battery(member, PartitionGeneratorConfig(
+                seed=cfg.seed, families=max(40, cfg.families // 10)))
+            payload["sigma-axioms"] = "pass" if report.passed else "fail"
+        else:
+            payload["sigma-axioms"] = "n/a"
     _emit(cfg, payload)
     return 0
 
@@ -359,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--battery", type=int, default=None,
                         help="override the family battery size")
-    parser.add_argument("--maxlen", type=int, default=3)
     parser.add_argument("--cap", type=int, default=3)
     parser.add_argument("--format", choices=("human", "json"), default="human")
     return parser
@@ -380,7 +386,6 @@ def main(argv=None) -> int:
         families=args.battery if args.battery is not None else 500,
         sequences=max(40, (args.battery or 500) * 2 // 5),
         triples=max(40, (args.battery or 500) * 3 // 5),
-        maxlen=args.maxlen,
         cap=args.cap,
         fmt=args.format,
     )

@@ -178,7 +178,7 @@ def _validate_structure(s: FiniteSemiring) -> None:
             if len(row) != n:
                 raise StructureError(f"{name}[{i}] has {len(row)} entries, expected {n}")
             for j, x in enumerate(row):
-                if not isinstance(x, int) or not 0 <= x < n:
+                if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < n:
                     raise StructureError(f"{name}[{i}][{j}] = {x!r} out of range")
 
 
@@ -301,46 +301,66 @@ class OrderSearch:
     examined: int = 0
 
 
+def _monotone_violations(s: FiniteSemiring, rel, pairs):
+    """Yield (law, least witness) for each violated monotonicity law, in law
+    order.  `pairs` lists the strict pairs a < b of the order in ascending
+    order; the reflexive pairs can never witness a violation."""
+    add, mul, rng = s.add, s.mul, range(s.n)
+    for law, table, left in (("add-monotone", add, False),
+                             ("mul-monotone-right", mul, False),
+                             ("mul-monotone-left", mul, True)):
+        for a, b in pairs:
+            if left:
+                x = next((x for x in rng if not rel[table[x][a]][table[x][b]]), None)
+            else:
+                ra, rb = table[a], table[b]
+                x = next((x for x in rng if not rel[ra[x]][rb[x]]), None)
+            if x is not None:
+                yield law, (a, b, x)
+                break
+
+
 def check_ordered_semiring(s: FiniteSemiring, o: PartialOrder) -> CheckReport:
     """Verify weak monotonicity of + and * and minimality of 0 under o."""
     if o.n != s.n:
         raise StructureError("order size does not match carrier")
     if not is_partial_order(o.rel):
         raise StructureError("relation is not a partial order")
-    n, add, mul = s.n, s.add, s.mul
-    rng = range(n)
     violations = []
-
-    def first(law, gen):
-        for w in gen:
-            violations.append((law, w))
-            return
-
-    first("zero-least", ((a,) for a in rng if not o.leq(s.zero, a)))
-    first("add-monotone",
-          ((a, b, x) for a in rng for b in rng if o.leq(a, b)
-           for x in rng if not o.leq(add[a][x], add[b][x])))
-    first("mul-monotone-right",
-          ((a, b, x) for a in rng for b in rng if o.leq(a, b)
-           for x in rng if not o.leq(mul[a][x], mul[b][x])))
-    first("mul-monotone-left",
-          ((a, b, x) for a in rng for b in rng if o.leq(a, b)
-           for x in rng if not o.leq(mul[x][a], mul[x][b])))
+    above = next((a for a in range(s.n) if not o.leq(s.zero, a)), None)
+    if above is not None:
+        violations.append(("zero-least", (above,)))
+    violations += _monotone_violations(s, o.rel, o.pairs())
     return CheckReport.build(violations)
+
+
+@lru_cache(maxsize=None)
+def _zero_least_orders(n: int, zero: int):
+    """The partial orders on {0..n-1} in which `zero` is least, each as
+    (position in all_partial_orders(n), order, strict pairs).  Every other
+    order fails the zero-least law, so the search never needs them."""
+    return tuple((pos, o, o.pairs()) for pos, o in enumerate(all_partial_orders(n))
+                 if all(o.rel[zero]))
 
 
 def search_compatible_order(s: FiniteSemiring, budget: int | None = None) -> OrderSearch:
     """Exhaustive search for a compatible order; independent oracle for
     is_orderable.  Never silently truncates: running out of budget yields an
-    explicit "inconclusive" result."""
-    examined = 0
-    for o in all_partial_orders(s.n):
-        if budget is not None and examined >= budget:
-            return OrderSearch("inconclusive", None, examined)
-        examined += 1
-        if check_ordered_semiring(s, o).passed:
-            return OrderSearch("found", o, examined)
-    return OrderSearch("none", None, examined)
+    explicit "inconclusive" result.
+
+    `examined` counts positions in all_partial_orders(n): the orders in
+    which zero is not least are passed over without a scan, since they fail
+    the zero-least law outright, but they still count against the budget."""
+    total = len(all_partial_orders(s.n))
+    limit = total if budget is None else max(0, min(budget, total))
+    for pos, o, pairs in _zero_least_orders(s.n, s.zero):
+        if pos >= limit:
+            break
+        if next(_monotone_violations(s, o.rel, pairs), None) is None:
+            return OrderSearch("found", o, pos + 1)
+    if limit < total:
+        return OrderSearch("inconclusive", None, limit)
+    return OrderSearch("none", None, total)
 
 
 def is_zero_sum_free(s: FiniteSemiring):
@@ -357,48 +377,64 @@ def is_zero_sum_free(s: FiniteSemiring):
 _LABELS = ("0", "1", "a", "b", "c", "d")
 
 
-def _assoc(table, n) -> bool:
-    for a in range(n):
-        ta = table[a]
-        for b in range(n):
-            tab = table[ta[b]]
-            tb = table[b]
-            for c in range(n):
-                if tab[c] != ta[tb[c]]:
-                    return False
-    return True
+def _monoids_with_identity(n: int, identity: int, cells, symmetric: bool):
+    """Every associative table on {0..n-1} with the given two-sided identity.
+
+    A backtracking filler: the free `cells` are assigned in list order with
+    ascending values, and a branch is cut as soon as some triple whose four
+    lookups are all set fails associativity.  It returns the tables in the
+    order of itertools.product over the free cells, which random_semiring
+    depends on.  With `symmetric`, each cell (i, j) also sets (j, i)."""
+    rng = range(n)
+    t = [[-1] * n for _ in rng]
+    for i in rng:
+        t[identity][i] = t[i][identity] = i
+    out = []
+
+    def consistent() -> bool:
+        for ta in t:
+            for b in rng:
+                ab = ta[b]
+                if ab < 0:
+                    continue
+                tb, tab = t[b], t[ab]
+                for c in rng:
+                    bc = tb[c]
+                    if bc < 0:
+                        continue
+                    left, right = tab[c], ta[bc]
+                    if left >= 0 and right >= 0 and left != right:
+                        return False
+        return True
+
+    def fill(k: int) -> None:
+        if k == len(cells):
+            out.append(tuple(tuple(row) for row in t))
+            return
+        i, j = cells[k]
+        p, q = (j, i) if symmetric else (i, j)
+        for v in rng:
+            t[i][j] = t[p][q] = v
+            if consistent():
+                fill(k + 1)
+        t[i][j] = t[p][q] = -1
+
+    fill(0)
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _comm_monoid_tables(n: int):
     """All commutative monoid tables on {0..n-1} with identity 0."""
     cells = [(i, j) for i in range(1, n) for j in range(i, n)]
-    out = []
-    for vals in itertools.product(range(n), repeat=len(cells)):
-        t = [[0] * n for _ in range(n)]
-        for i in range(n):
-            t[0][i] = t[i][0] = i
-        for (i, j), v in zip(cells, vals):
-            t[i][j] = t[j][i] = v
-        if _assoc(t, n):
-            out.append(tuple(tuple(row) for row in t))
-    return tuple(out)
+    return _monoids_with_identity(n, 0, cells, symmetric=True)
 
 
 @lru_cache(maxsize=None)
 def _monoid_tables(n: int):
     """All monoid tables on {0..n-1} with identity 1 (n >= 2)."""
     cells = [(i, j) for i in range(n) for j in range(n) if i != 1 and j != 1]
-    out = []
-    for vals in itertools.product(range(n), repeat=len(cells)):
-        t = [[0] * n for _ in range(n)]
-        for i in range(n):
-            t[1][i] = t[i][1] = i
-        for (i, j), v in zip(cells, vals):
-            t[i][j] = v
-        if _assoc(t, n):
-            out.append(tuple(tuple(row) for row in t))
-    return tuple(out)
+    return _monoids_with_identity(n, 1, cells, symmetric=False)
 
 
 def _distributive(add, mul, n) -> bool:
@@ -491,7 +527,8 @@ def semiring_from_json(text: str):
             or not all(isinstance(x, str) for x in elements)):
         raise StructureError("elements must be a non-empty list of strings")
     for key in ("zero", "one"):
-        if not isinstance(doc[key], int):
+        # bool is a subclass of int, but true is not an index
+        if not isinstance(doc[key], int) or isinstance(doc[key], bool):
             raise StructureError(f"{key} must be an integer index")
     for key in ("add", "mul"):
         t = doc[key]

@@ -3,8 +3,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from semirings import cli
 from semirings.core import is_orderable, semiring_to_json
 from semirings.gallery import boolean, xor_semiring
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(args):
@@ -200,3 +205,50 @@ def test_selftest_other_seed_same_verdicts():
     verdicts = [line.split(":")[0] for line in base.stdout.splitlines()[1:]]
     others = [line.split(":")[0] for line in other.stdout.splitlines()[1:]]
     assert verdicts == others
+
+
+@pytest.mark.parametrize("seed, battery", [(1, None), (1, 60), (2, 60), (3, 60)])
+def test_selftest_matches_golden(capsys, seed, battery):
+    args = ["selftest", "--seed", str(seed)]
+    name = f"selftest_seed{seed}.txt"
+    if battery is not None:
+        args += ["--battery", str(battery)]
+        name = f"selftest_seed{seed}_battery{battery}.txt"
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", ["nope", "powerset:x", "lang:3:3"])
+def test_gallery_bad_name_exits_two(capsys, name):
+    assert cli.main(["gallery", name]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_gallery_member_without_sigma(capsys):
+    assert cli.main(["gallery", "nat", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["sigma"] is False
+    assert doc["sigma-axioms"] == "n/a"
+
+
+def test_boolean_zero_index_exits_two(tmp_path, capsys):
+    path = tmp_path / "zero-true.json"
+    doc = json.loads(semiring_to_json(boolean()))
+    path.write_text(json.dumps({**doc, "zero": True}), encoding="utf-8")
+    assert cli.main(["check", str(path)]) == 2
+    assert "zero must be an integer index" in capsys.readouterr().err
+
+
+def test_finitary_huge_multiplicity_exits_two(tmp_path, capsys):
+    fams = tmp_path / "huge.jsonl"
+    fams.write_text('{"family": {"1": "fin:99999999"}}\n', encoding="utf-8")
+    assert cli.main(["finitary", "nat-infinity", str(fams)]) == 2
+    err = capsys.readouterr().err
+    assert "too large for subsum enumeration" in err and err.count("\n") == 1
+
+
+def test_maxlen_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gallery", "--maxlen", "2"])
+    assert exc.value.code == 2

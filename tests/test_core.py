@@ -1,12 +1,14 @@
 import itertools
+import json
 
 import pytest
 
 from semirings.core import (CheckReport, FiniteSemiring,
-                            PartialOrder, StructureError, all_partial_orders,
-                            check_ordered_semiring, check_semiring_axioms,
-                            enumerate_semirings, is_orderable,
-                            is_zero_sum_free, natural_quasiorder,
+                            PartialOrder, StructureError, _comm_monoid_tables,
+                            _distributive_partners, _monoid_tables,
+                            all_partial_orders, check_ordered_semiring,
+                            check_semiring_axioms, enumerate_semirings,
+                            is_orderable, is_zero_sum_free, natural_quasiorder,
                             random_semiring, search_compatible_order,
                             semiring_from_json, semiring_to_json)
 from semirings.gallery import boolean, nat_desk, xor_semiring
@@ -36,6 +38,55 @@ def laws_hold(s):
                 if s.mul[s.add[b][c]][a] != s.add[s.mul[b][a]][s.mul[c][a]]:
                     return False
     return True
+
+
+# -- brute-force oracles: every table over itertools.product, then a filter --
+
+def _assoc(table, n):
+    return all(table[table[a][b]][c] == table[a][table[b][c]]
+               for a in range(n) for b in range(n) for c in range(n))
+
+
+def brute_comm_monoid_tables(n):
+    """All commutative monoid tables on {0..n-1} with identity 0."""
+    cells = [(i, j) for i in range(1, n) for j in range(i, n)]
+    out = []
+    for vals in itertools.product(range(n), repeat=len(cells)):
+        t = [[0] * n for _ in range(n)]
+        for i in range(n):
+            t[0][i] = t[i][0] = i
+        for (i, j), v in zip(cells, vals):
+            t[i][j] = t[j][i] = v
+        if _assoc(t, n):
+            out.append(tuple(tuple(row) for row in t))
+    return tuple(out)
+
+
+def brute_monoid_tables(n):
+    """All monoid tables on {0..n-1} with identity 1 (n >= 2)."""
+    cells = [(i, j) for i in range(n) for j in range(n) if i != 1 and j != 1]
+    out = []
+    for vals in itertools.product(range(n), repeat=len(cells)):
+        t = [[0] * n for _ in range(n)]
+        for i in range(n):
+            t[1][i] = t[i][1] = i
+        for (i, j), v in zip(cells, vals):
+            t[i][j] = v
+        if _assoc(t, n):
+            out.append(tuple(tuple(row) for row in t))
+    return tuple(out)
+
+
+def brute_order_search(s, budget=None):
+    """The plain scan: check_ordered_semiring on every partial order."""
+    examined = 0
+    for o in all_partial_orders(s.n):
+        if budget is not None and examined >= budget:
+            return ("inconclusive", None, examined)
+        examined += 1
+        if check_ordered_semiring(s, o).passed:
+            return ("found", o, examined)
+    return ("none", None, examined)
 
 
 def all_semirings_up_to_3():
@@ -237,3 +288,60 @@ def test_json_malformed_inputs():
                 '"add": [[0,9],[1,1]], "mul": [[0,0],[0,1]]}'):
         with pytest.raises(StructureError):
             semiring_from_json(bad)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_backtracking_enumerators_match_brute_force(n):
+    # same tables in the same order: random_semiring draws by position
+    assert _comm_monoid_tables(n) == brute_comm_monoid_tables(n)
+    assert _monoid_tables(n) == brute_monoid_tables(n)
+
+
+def _search_cases():
+    out = list(all_semirings_up_to_3())
+    labels = ("0", "1", "a", "b")
+    for add in _comm_monoid_tables(4):
+        out += [FiniteSemiring(labels, 0, 1, add, mul)
+                for mul in _distributive_partners(4, add)]
+    return out
+
+
+def test_order_search_matches_plain_scan():
+    cases = _search_cases()
+    assert len(cases) == 9 + 77
+    for s in cases:
+        status, order, examined = brute_order_search(s)
+        hit = search_compatible_order(s)
+        assert (hit.status, hit.order, hit.examined) == (status, order, examined)
+        # budgets below, at and past the position of the first compatible order
+        budgets = {0, 1, examined - 1, examined, examined + 1,
+                   len(all_partial_orders(s.n)) + 5, -1}
+        for budget in budgets:
+            hit = search_compatible_order(s, budget)
+            assert ((hit.status, hit.order, hit.examined)
+                    == brute_order_search(s, budget)), (s, budget)
+
+
+def test_check_ordered_reports_least_witness_per_law():
+    # the chain 0 < 1 < a on a table where a*a = 1 breaks multiplication
+    s = FiniteSemiring(("0", "1", "a"), 0, 1,
+                       ((0, 1, 2), (1, 1, 2), (2, 2, 2)),
+                       ((0, 0, 0), (0, 1, 2), (0, 2, 1)))
+    chain = PartialOrder.from_pairs(3, [(0, 1), (1, 2)])
+    report = check_ordered_semiring(s, chain)
+    assert report.violations == (("mul-monotone-right", (1, 2, 2)),
+                                 ("mul-monotone-left", (1, 2, 2)))
+    reverse = PartialOrder.from_pairs(3, [(2, 1), (1, 0)])
+    assert check_ordered_semiring(s, reverse).violations == (
+        ("zero-least", (1,)), ("mul-monotone-right", (2, 1, 2)),
+        ("mul-monotone-left", (2, 1, 2)))
+
+
+def test_json_rejects_boolean_indices():
+    doc = {"elements": ["0", "1"], "zero": 0, "one": 1,
+           "add": [[0, 1], [1, 1]], "mul": [[0, 0], [0, 1]]}
+    for key in ("zero", "one"):
+        with pytest.raises(StructureError, match=key):
+            semiring_from_json(json.dumps({**doc, key: True}))
+    with pytest.raises(StructureError):
+        semiring_from_json(json.dumps({**doc, "add": [[0, True], [1, 1]]}))
