@@ -4,15 +4,14 @@ completion of a finite ordered semiring."""
 
 from .cardinal import (ALEPH0, Cardinal, CardinalFamily, CharacteristicCardinality,
                        FIN0, FIN1, OmegaSequence, PartitionGeneratorConfig,
-                       SigmaSemiring, UNCOUNTABLE, card_arith,
+                       SigmaSemiring, UNCOUNTABLE,
                        characteristic_cardinality, check_sigma_axioms, fin,
                        finite_subsums, is_d_complete, is_finitary,
                        sup_in_order)
 from .completion import (CompletionResult, CongruenceVerdict,
                          completion_of_finite, lesssim,
                          no_universal_complete_demo, sim_congruence_battery,
-                         sim_verdict, unique_finitary_sigma,
-                         universal_property_check)
+                         sim_verdict, universal_property_check)
 from .core import (CheckReport, FiniteSemiring, PartialOrder, QuasiOrder,
                    check_ordered_semiring, check_semiring_axioms,
                    enumerate_semirings, is_orderable, is_zero_sum_free,

@@ -13,9 +13,8 @@ from .core import (CheckReport, FiniteSemiring, InternalConsistencyError,
                    PartialOrder, check_ordered_semiring, is_orderable)
 from .cardinal import (ALEPH0, CardinalFamily, PartitionGeneratorConfig,
                        SigmaSemiring, UNCOUNTABLE, characteristic_cardinality,
-                       check_sigma_axioms, family_battery, family_sup,
-                       finite_subsums, is_d_complete, is_finitary,
-                       omega_sequence_battery)
+                       check_sigma_axioms, family_battery, finite_subsums,
+                       is_d_complete, is_finitary, omega_sequence_battery)
 from .gallery import four_valued, nat_infinity
 from .series import (Polynomial, TruncatedSeries, enumerate_below,
                      enumerate_below_series, evaluate_phi)
@@ -123,14 +122,13 @@ def sim_congruence_battery(s: FiniteSemiring, o: PartialOrder,
     """Seeded evidence that the two-sided precongruence is an equivalence,
     is compatible with addition and the Cauchy product, and collapses
     polynomial classes onto carrier elements (p ~ q iff phi(p) = phi(q))."""
-    rng = random.Random(seed)
-    violations = []
-    seen = set()
+    return CheckReport.first_per_law(_sim_congruence_violations(s, o, seed, triples))
 
-    def report(law, *witness):
-        if law not in seen:
-            seen.add(law)
-            violations.append((law, witness))
+
+def _sim_congruence_violations(s: FiniteSemiring, o: PartialOrder,
+                               seed: int, triples: int):
+    """Yield (law, witness) for every failed instance, in battery order."""
+    rng = random.Random(seed)
 
     def related(p, q):
         return sim_verdict(p, q, s, o).sim
@@ -143,12 +141,12 @@ def sim_congruence_battery(s: FiniteSemiring, o: PartialOrder,
     for _ in range(triples):
         p, q, r = (rng.choice(polys) for _ in range(3))
         if not related(p, p):
-            report("sim-reflexive", p)
+            yield "sim-reflexive", (p,)
         pq, qp = related(p, q), related(q, p)
         if pq != qp:
-            report("sim-symmetric", p, q)
+            yield "sim-symmetric", (p, q)
         if pq and related(q, r) and not related(p, r):
-            report("sim-transitive", p, q, r)
+            yield "sim-transitive", (p, q, r)
 
     congruent_pairs = []
     for group in by_value.values():
@@ -157,18 +155,17 @@ def sim_congruence_battery(s: FiniteSemiring, o: PartialOrder,
     rng.shuffle(congruent_pairs)
     for (p, p2), (q, q2) in zip(congruent_pairs, reversed(congruent_pairs)):
         if not related(p, p2) or not related(q, q2):
-            report("sim-collapse", p, p2)
+            yield "sim-collapse", (p, p2)
             continue
         if not related(p + q, p2 + q2):
-            report("sim-congruence-add", p, p2, q, q2)
+            yield "sim-congruence-add", (p, p2, q, q2)
         if not related(p * q, p2 * q2):
-            report("sim-congruence-mul", p, p2, q, q2)
+            yield "sim-congruence-mul", (p, p2, q, q2)
 
     for _ in range(triples // 3):
         p, q = rng.choice(polys), rng.choice(polys)
         if related(p, q) != (evaluate_phi(p, s) == evaluate_phi(q, s)):
-            report("sim-collapse", p, q)
-    return CheckReport.build(violations)
+            yield "sim-collapse", (p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +202,9 @@ def completion_of_finite(s: FiniteSemiring, o: PartialOrder | None = None,
 
     For a finite carrier the completion adds no elements; the content is the
     induced Sigma (least upper bound of finite subsums), certified by the
-    full Sigma-axiom, discrete-convergence and finitary batteries."""
+    full Sigma-axiom, discrete-convergence and finitary batteries.  The
+    finitary battery is also the uniqueness check: a finitary Sigma is the
+    sup of the finite subsums, so the order admits no other one."""
     orderable, witness = is_orderable(s)
     if not orderable:
         raise NotOrderableError(witness)
@@ -227,24 +226,6 @@ def completion_of_finite(s: FiniteSemiring, o: PartialOrder | None = None,
         extra.append(("completion-finitary", (wf,)))
     report = axioms.merge(CheckReport.build(extra))
     return CompletionResult(comp, tuple(range(s.n)), report)
-
-
-def unique_finitary_sigma(t: SigmaSemiring, seed: int = 0,
-                          families: int = 120) -> CheckReport:
-    """Recompute Sigma from the order alone (sup of finite subsums) and
-    compare with the carrier's own Sigma.  Passing certifies that the order
-    admits at most this one finitary Sigma."""
-    violations = []
-    for f in family_battery(t, seed, families):
-        sig = t.sigma(f)
-        sup = family_sup(t, finite_subsums(t, f))
-        if sup.status != "exists":
-            violations.append(("unique-finitary-sigma-sup-missing", (f, sup.status, sig)))
-            break
-        if sup.value != sig:
-            violations.append(("unique-finitary-sigma", (f, sig, sup.value)))
-            break
-    return CheckReport.build(violations)
 
 
 def universal_property_check(s: FiniteSemiring, o: PartialOrder,
@@ -276,7 +257,7 @@ def universal_property_check(s: FiniteSemiring, o: PartialOrder,
     if not t.has_order:
         raise NotFinitaryError(f"{t.name} carries no order")
     ok, wit = is_finitary(t, family_battery(t, seed, families))
-    if not ok or not unique_finitary_sigma(t, seed, families).passed:
+    if not ok:
         raise NotFinitaryError(f"{t.name} is not finitary: {wit}")
 
     completion = completion_of_finite(s, o, seed=seed,

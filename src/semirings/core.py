@@ -12,7 +12,7 @@ import itertools
 import json
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 
 class StructureError(ValueError):
@@ -128,6 +128,15 @@ class CheckReport:
         v = tuple(violations)
         return cls(not v, v)
 
+    @classmethod
+    def first_per_law(cls, found) -> "CheckReport":
+        """Build from (law, witness) pairs in the order they were found,
+        keeping the first witness of each law; laws keep first-seen order."""
+        first = {}
+        for law, witness in found:
+            first.setdefault(law, witness)
+        return cls.build(first.items())
+
     def merge(self, other: "CheckReport") -> "CheckReport":
         return CheckReport.build(self.violations + other.violations)
 
@@ -182,6 +191,78 @@ def _validate_structure(s: FiniteSemiring) -> None:
                     raise StructureError(f"{name}[{i}][{j}] = {x!r} out of range")
 
 
+class OpTable:
+    """Table view of a binary operation: view[a][b] == fn(a, b).
+
+    Lets the law engine read a symbolic carrier's operations the way it
+    reads a finite carrier's tuple tables.  Finite carriers pass their
+    tables directly, because native tuple indexing is several times faster
+    than a call per lookup."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __getitem__(self, a):
+        return _OpRow(self.fn, a)
+
+
+class _OpRow(partial):
+    """The row view[a] of an OpTable: row[b] calls fn(a, b)."""
+
+    __getitem__ = partial.__call__
+
+
+def semiring_law_violations(elements, add, mul, zero, one):
+    """The least witness of each violated semiring law, as a list of
+    (law, witness) pairs in law order.
+
+    `add[a][b]` and `mul[a][b]` are indexable tables, and the quantifiers
+    run over `elements` in the order given, so each witness is the least
+    one in that order.  A finite carrier passes range(n) and its tables; a
+    symbolic one passes an element sample and OpTable views, which makes
+    every law instance over the sample exact."""
+    e = elements
+    laws = (
+        ("add-associativity",
+         ((a, b, c) for a in e for b in e for c in e
+          if add[add[a][b]][c] != add[a][add[b][c]])),
+        ("add-commutativity",
+         ((a, b) for a in e for b in e if add[a][b] != add[b][a])),
+        ("add-identity",
+         ((a,) for a in e if add[zero][a] != a or add[a][zero] != a)),
+        ("mul-associativity",
+         ((a, b, c) for a in e for b in e for c in e
+          if mul[mul[a][b]][c] != mul[a][mul[b][c]])),
+        ("mul-identity",
+         ((a,) for a in e if mul[one][a] != a or mul[a][one] != a)),
+        ("zero-absorption",
+         ((a,) for a in e if mul[zero][a] != zero or mul[a][zero] != zero)),
+        ("left-distributivity",
+         ((x, y, z) for x in e for y in e for z in e
+          if mul[x][add[y][z]] != add[mul[x][y]][mul[x][z]])),
+        ("right-distributivity",
+         ((x, y, z) for x in e for y in e for z in e
+          if mul[add[y][z]][x] != add[mul[y][x]][mul[z][x]])),
+    )
+    found = ((law, next(witnesses, None)) for law, witnesses in laws)
+    return [(law, witness) for law, witness in found if witness is not None]
+
+
+def absorption_witness(elements, add):
+    """Least (a, x, y) over `elements` with a+x+y = a but a+x != a, or
+    None; there is none exactly when the natural quasiorder is
+    antisymmetric.  Reads the same table view as semiring_law_violations."""
+    for a in elements:
+        for x in elements:
+            ax = add[a][x]
+            if ax == a:
+                continue
+            for y in elements:
+                if add[ax][y] == a:
+                    return (a, x, y)
+    return None
+
+
 def check_semiring_axioms(s: FiniteSemiring) -> CheckReport:
     """Check the monoid, commutativity, distributivity and zero-absorption
     laws.
@@ -197,37 +278,8 @@ def check_semiring_axioms(s: FiniteSemiring) -> CheckReport:
     than a violated law.
     """
     _validate_structure(s)
-    n, add, mul = s.n, s.add, s.mul
-    rng = range(n)
-    violations = []
-
-    def first(law, gen):
-        for w in gen:
-            violations.append((law, w))
-            return
-
-    first("add-associativity",
-          ((a, b, c) for a in rng for b in rng for c in rng
-           if add[add[a][b]][c] != add[a][add[b][c]]))
-    first("add-commutativity",
-          ((a, b) for a in rng for b in rng if add[a][b] != add[b][a]))
-    first("add-identity",
-          ((a,) for a in rng if add[s.zero][a] != a or add[a][s.zero] != a))
-    first("mul-associativity",
-          ((a, b, c) for a in rng for b in rng for c in rng
-           if mul[mul[a][b]][c] != mul[a][mul[b][c]]))
-    first("mul-identity",
-          ((a,) for a in rng if mul[s.one][a] != a or mul[a][s.one] != a))
-    first("zero-absorption",
-          ((a,) for a in rng
-           if mul[s.zero][a] != s.zero or mul[a][s.zero] != s.zero))
-    first("left-distributivity",
-          ((x, y, z) for x in rng for y in rng for z in rng
-           if mul[x][add[y][z]] != add[mul[x][y]][mul[x][z]]))
-    first("right-distributivity",
-          ((x, y, z) for x in rng for y in rng for z in rng
-           if mul[add[y][z]][x] != add[mul[y][x]][mul[z][x]]))
-    return CheckReport.build(violations)
+    return CheckReport.build(
+        semiring_law_violations(range(s.n), s.add, s.mul, s.zero, s.one))
 
 
 def natural_quasiorder(s: FiniteSemiring) -> QuasiOrder:
@@ -243,20 +295,6 @@ def natural_quasiorder(s: FiniteSemiring) -> QuasiOrder:
     return QuasiOrder(rel)
 
 
-def _absorption_witness(s: FiniteSemiring):
-    """Least (a, x, y) with a+x+y = a but a+x != a, or None."""
-    n, add = s.n, s.add
-    for a in range(n):
-        for x in range(n):
-            ax = add[a][x]
-            if ax == a:
-                continue
-            for y in range(n):
-                if add[ax][y] == a:
-                    return (a, x, y)
-    return None
-
-
 def is_orderable(s: FiniteSemiring):
     """Decide orderability via antisymmetry of the natural quasiorder.
 
@@ -266,7 +304,7 @@ def is_orderable(s: FiniteSemiring):
     """
     q = natural_quasiorder(s)
     anti = _antisymmetry_witness(q.rel)
-    triple = _absorption_witness(s)
+    triple = absorption_witness(range(s.n), s.add)
     if (anti is None) != (triple is None):
         raise InternalConsistencyError(
             f"antisymmetry and absorption criteria disagree: {anti} vs {triple}")

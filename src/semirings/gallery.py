@@ -11,8 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import (CheckReport, FiniteSemiring, PartialOrder,
-                   is_zero_sum_free)
+from .core import FiniteSemiring, PartialOrder, is_zero_sum_free
 from .cardinal import ALEPH0, CardinalFamily, SigmaSemiring, UNCOUNTABLE
 
 
@@ -156,6 +155,15 @@ def _chain_order(n: int) -> PartialOrder:
     return PartialOrder(tuple(tuple(i <= j for j in range(n)) for i in range(n)))
 
 
+def _union_sigma(f: CardinalFamily) -> int:
+    """Sigma of bitmask-encoded sets under union: the union of the keys,
+    whatever their multiplicities."""
+    mask = 0
+    for v, _ in f.items():
+        mask |= v
+    return mask
+
+
 def powerset_semiring(universe) -> SigmaSemiring:
     """All subsets of a finite universe: union, intersection, inclusion.
     Subsets are encoded as bitmask indices, so the tables are bit ops."""
@@ -170,14 +178,7 @@ def powerset_semiring(universe) -> SigmaSemiring:
     mul = tuple(tuple(i & j for j in range(n)) for i in range(n))
     base = FiniteSemiring(labels, 0, n - 1, add, mul)
     order = PartialOrder(tuple(tuple(i | j == j for j in range(n)) for i in range(n)))
-
-    def sigma(f: CardinalFamily) -> int:
-        mask = 0
-        for v, _ in f.items():
-            mask |= v
-        return mask
-
-    return SigmaSemiring.from_finite(f"powerset:{len(atoms)}", base, sigma, order)
+    return SigmaSemiring.from_finite(f"powerset:{len(atoms)}", base, _union_sigma, order)
 
 
 def language_semiring(alphabet, maxlen: int) -> SigmaSemiring:
@@ -226,15 +227,8 @@ def language_semiring(alphabet, maxlen: int) -> SigmaSemiring:
     mul = tuple(tuple(lang_mul(i, j) for j in range(n)) for i in range(n))
     base = FiniteSemiring(labels, 0, 1, add, mul)
     order = PartialOrder(tuple(tuple(i | j == j for j in range(n)) for i in range(n)))
-
-    def sigma(f: CardinalFamily) -> int:
-        mask = 0
-        for v, _ in f.items():
-            mask |= v
-        return mask
-
     return SigmaSemiring.from_finite(
-        f"lang:{len(letters)}:{maxlen}", base, sigma, order)
+        f"lang:{len(letters)}:{maxlen}", base, _union_sigma, order)
 
 
 def three_valued() -> SigmaSemiring:
@@ -472,41 +466,6 @@ def search_distributivity_violation(pool):
                 if lhs != rhs:
                     return DistributivityWitness(s, x, f, "right", lhs, rhs)
     return None
-
-
-def sampled_semiring_laws(c: SigmaSemiring, k: int = 8) -> CheckReport:
-    """Semiring laws on a bounded element sample of a symbolic carrier; the
-    sample is closed under nothing, but the operations are total so every
-    law instance over the sample is exact."""
-    sample = c.sample(k)
-    violations = []
-    seen = set()
-
-    def report(law, *witness):
-        if law not in seen:
-            seen.add(law)
-            violations.append((law, witness))
-
-    for a in sample:
-        if c.plus(c.zero, a) != a or c.plus(a, c.zero) != a:
-            report("add-identity", a)
-        if c.times(c.one, a) != a or c.times(a, c.one) != a:
-            report("mul-identity", a)
-        if c.times(c.zero, a) != c.zero or c.times(a, c.zero) != c.zero:
-            report("zero-absorption", a)
-        for b in sample:
-            if c.plus(a, b) != c.plus(b, a):
-                report("add-commutativity", a, b)
-            for d in sample:
-                if c.plus(c.plus(a, b), d) != c.plus(a, c.plus(b, d)):
-                    report("add-associativity", a, b, d)
-                if c.times(c.times(a, b), d) != c.times(a, c.times(b, d)):
-                    report("mul-associativity", a, b, d)
-                if c.times(a, c.plus(b, d)) != c.plus(c.times(a, b), c.times(a, d)):
-                    report("left-distributivity", a, b, d)
-                if c.times(c.plus(b, d), a) != c.plus(c.times(b, a), c.times(d, a)):
-                    report("right-distributivity", a, b, d)
-    return CheckReport.build(violations)
 
 
 # ---------------------------------------------------------------------------

@@ -100,14 +100,6 @@ def evaluate_phi(p: Polynomial, s: FiniteSemiring) -> int:
     return acc
 
 
-def poly_add(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p + q
-
-
-def poly_cauchy(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p * q
-
-
 def cauchy_coefficient_by_factorizations(p: Polynomial, q: Polynomial, w: Word) -> int:
     """Direct sum over all factorizations w = uv; independent of the
     accumulation in the product implementation."""
@@ -207,10 +199,6 @@ class TruncatedSeries:
 
 def series_zero(maxlen: int) -> TruncatedSeries:
     return TruncatedSeries(maxlen)
-
-
-def series_one(maxlen: int) -> TruncatedSeries:
-    return TruncatedSeries(maxlen, {(): ninf(1)})
 
 
 def pointwise_leq(x, y) -> bool:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from semirings.cardinal import (ALEPH0, CardinalFamily, FIN0, FIN1,
                                 MissingOrderError, OmegaSequence,
                                 PartitionGeneratorConfig,
-                                UNCOUNTABLE, card_add, card_arith, card_mul,
+                                SigmaSemiring, UNCOUNTABLE, card_add, card_mul,
                                 characteristic_cardinality, check_sigma_axioms,
                                 eventually_constant_sum, family_battery,
                                 family_sup, fin, finite_subsums, is_d_complete,
@@ -27,9 +27,9 @@ cardinals = st.one_of(
 
 
 def test_card_arith_examples():
-    assert card_arith("add", fin(2), fin(3)) == fin(5)
-    assert card_arith("add", fin(7), ALEPH0) == ALEPH0
-    assert card_arith("mul", ALEPH0, UNCOUNTABLE) == UNCOUNTABLE
+    assert card_add(fin(2), fin(3)) == fin(5)
+    assert card_add(fin(7), ALEPH0) == ALEPH0
+    assert card_mul(ALEPH0, UNCOUNTABLE) == UNCOUNTABLE
     assert card_mul(FIN0, UNCOUNTABLE) == FIN0
     assert card_mul(fin(3), ALEPH0) == ALEPH0
 
@@ -281,6 +281,28 @@ def test_sigma_axioms_three_valued_complete():
     rep = check_sigma_axioms(three_valued(),
                              PartitionGeneratorConfig(seed=3, families=300))
     assert rep.passed
+
+
+def test_sigma_axioms_keep_first_witness_per_law():
+    # a deliberately wrong Sigma: any infinite multiplicity sums to the top
+    base = powerset_semiring("ab")
+
+    def sigma(f):
+        mask = 0
+        for v, m in f.items():
+            if not m.is_finite:
+                return 3
+            mask |= v
+        return mask
+
+    wrong = SigmaSemiring.from_finite("wrong", base.base, sigma, base.order)
+    rep = check_sigma_axioms(wrong, PartitionGeneratorConfig(seed=5, families=80))
+    family = CardinalFamily({1: fin(4), 3: ALEPH0})
+    assert rep.violations == (
+        ("sigma-distributivity-left", (1, family, 1, 3)),
+        ("sigma-distributivity-right", (1, family, 1, 3)),
+        ("sigma-zero", (ALEPH0, 3)),
+    )
 
 
 def test_battery_config_validation():

@@ -2,14 +2,14 @@ import random
 
 import pytest
 
+from semirings import completion
 from semirings.cardinal import (ALEPH0, CardinalFamily, FIN1, UNCOUNTABLE,
-                                fin)
-from semirings.completion import (EmbeddingError,
+                                family_battery, fin, is_finitary)
+from semirings.completion import (CongruenceVerdict, EmbeddingError,
                                   NotFinitaryError, NotOrderableError,
                                   completion_of_finite, lesssim,
                                   no_universal_complete_demo,
                                   sim_congruence_battery, sim_verdict,
-                                  unique_finitary_sigma,
                                   universal_property_check)
 from semirings.core import enumerate_semirings, is_orderable
 from semirings.gallery import (NINF_INF, boolean, four_valued,
@@ -101,6 +101,24 @@ def test_congruence_battery_on_ordered_semirings():
         assert sim_congruence_battery(s, o, seed=7, triples=60).passed
 
 
+def test_congruence_battery_keeps_first_witness_per_law(monkeypatch):
+    # a deliberately wrong relation in place of the precongruence verdict
+    def fake_verdict(p, q, s, o, cap=3):
+        sim = (len(repr(p)) * 7 + len(repr(q))) % 5 != 0
+        return CongruenceVerdict(sim, sim, None)
+
+    monkeypatch.setattr(completion, "sim_verdict", fake_verdict)
+    s = boolean()
+    _, o = is_orderable(s)
+    two = Polynomial({(): 2})
+    assert sim_congruence_battery(s, o, seed=4, triples=60).violations == (
+        ("sim-reflexive", (two,)),
+        ("sim-transitive", (two, Polynomial({(): 1, (1, 1): 1}), two)),
+        ("sim-symmetric", (Polynomial({(1,): 2}), Polynomial({(): 1, (1,): 1}))),
+        ("sim-collapse", (Polynomial({(0, 1): 2, (1, 1): 2}), two)),
+    )
+
+
 def test_collapse_law_brute_force_over_boolean():
     s = boolean()
     _, o = is_orderable(s)
@@ -167,13 +185,15 @@ def test_completion_desk_matches_nat_infinity_on_shared_values():
 
 
 def test_unique_finitary_sigma():
-    assert unique_finitary_sigma(nat_infinity()).passed
-    assert unique_finitary_sigma(powerset_semiring("ab")).passed
-    report = unique_finitary_sigma(four_valued())
-    assert not report.passed
-    assert report.law_names() == ["unique-finitary-sigma"]
-    law, (family, sig, sup) = report.violations[0]
-    assert family == CardinalFamily({four_valued().one: UNCOUNTABLE})
+    # a finitary Sigma is the sup of the finite subsums, so the order admits
+    # at most one; is_finitary compares the carrier's Sigma with that sup
+    for t in (nat_infinity(), powerset_semiring("ab")):
+        assert is_finitary(t, family_battery(t, 0, 120)) == (True, None)
+    four = four_valued()
+    ok, witness = is_finitary(four, family_battery(four, 0, 120))
+    assert not ok
+    assert witness.reason == "sup-differs"
+    assert witness.family == CardinalFamily({four.one: UNCOUNTABLE})
 
 
 # -- the universal property ----------------------------------------------------------

@@ -3,14 +3,15 @@ import json
 
 import pytest
 
-from semirings.core import (CheckReport, FiniteSemiring,
+from semirings.core import (CheckReport, FiniteSemiring, OpTable,
                             PartialOrder, StructureError, _comm_monoid_tables,
                             _distributive_partners, _monoid_tables,
-                            all_partial_orders, check_ordered_semiring,
-                            check_semiring_axioms, enumerate_semirings,
-                            is_orderable, is_zero_sum_free, natural_quasiorder,
-                            random_semiring, search_compatible_order,
-                            semiring_from_json, semiring_to_json)
+                            absorption_witness, all_partial_orders,
+                            check_ordered_semiring, check_semiring_axioms,
+                            enumerate_semirings, is_orderable, is_zero_sum_free,
+                            natural_quasiorder, random_semiring,
+                            search_compatible_order, semiring_from_json,
+                            semiring_law_violations, semiring_to_json)
 from semirings.gallery import boolean, nat_desk, xor_semiring
 
 
@@ -111,6 +112,93 @@ def test_malformed_table_is_structural_not_axiomatic():
     s = FiniteSemiring(("0", "1"), 0, 1, ((0, 7), (1, 1)), ((0, 0), (0, 1)))
     with pytest.raises(StructureError):
         check_semiring_axioms(s)
+
+
+# -- the law engine: least witness per law, on tables and on the view ------
+
+LAW_ORDER = ("add-associativity", "add-commutativity", "add-identity",
+             "mul-associativity", "mul-identity", "zero-absorption",
+             "left-distributivity", "right-distributivity")
+
+
+def least_witnesses_oracle(elements, plus, times, zero, one):
+    """Flat oracle: the first failing tuple of each law in product order."""
+    broken = {
+        "add-associativity": (3, lambda a, b, c: plus(plus(a, b), c) != plus(a, plus(b, c))),
+        "add-commutativity": (2, lambda a, b: plus(a, b) != plus(b, a)),
+        "add-identity": (1, lambda a: plus(zero, a) != a or plus(a, zero) != a),
+        "mul-associativity": (3, lambda a, b, c: times(times(a, b), c) != times(a, times(b, c))),
+        "mul-identity": (1, lambda a: times(one, a) != a or times(a, one) != a),
+        "zero-absorption": (1, lambda a: times(zero, a) != zero or times(a, zero) != zero),
+        "left-distributivity": (3, lambda x, y, z: times(x, plus(y, z))
+                                != plus(times(x, y), times(x, z))),
+        "right-distributivity": (3, lambda x, y, z: times(plus(y, z), x)
+                                 != plus(times(y, x), times(z, x))),
+    }
+    out = []
+    for law in LAW_ORDER:
+        arity, fails = broken[law]
+        w = next((w for w in itertools.product(elements, repeat=arity) if fails(*w)), None)
+        if w is not None:
+            out.append((law, w))
+    return out
+
+
+def _planted(cells):
+    """The saturating chain {0, 1, 2} with the given (table, i, j, value)
+    cells overwritten."""
+    tables = {"add": [list(row) for row in nat_desk(2).add],
+              "mul": [list(row) for row in nat_desk(2).mul]}
+    for name, i, j, v in cells:
+        tables[name][i][j] = v
+    return FiniteSemiring.from_tables(("0", "1", "2"), 0, 1, tables["add"], tables["mul"])
+
+
+# planted law -> (overwritten cells, every violation in law order)
+PLANTED = {
+    "add-associativity": ([("add", 1, 2, 1)],
+                          [("add-associativity", (1, 1, 1)), ("add-commutativity", (1, 2))]),
+    "add-commutativity": ([("add", 1, 1, 1), ("add", 1, 2, 1)],
+                          [("add-commutativity", (1, 2))]),
+    "add-identity": ([("add", 0, 1, 2), ("add", 1, 0, 2)], [("add-identity", (1,))]),
+    "mul-associativity": ([("mul", 0, 0, 1)],
+                          [("mul-associativity", (0, 0, 2)), ("zero-absorption", (0,)),
+                           ("left-distributivity", (0, 0, 0)),
+                           ("right-distributivity", (0, 0, 0))]),
+    "mul-identity": ([("mul", 1, 1, 2)], [("mul-identity", (1,))]),
+    "zero-absorption": ([("mul", 0, 2, 2)],
+                        [("zero-absorption", (2,)), ("left-distributivity", (0, 1, 1))]),
+    "left-distributivity": ([("add", 1, 1, 0)],
+                            [("left-distributivity", (2, 1, 1)),
+                             ("right-distributivity", (2, 1, 1))]),
+    "right-distributivity": ([("add", 1, 1, 0)],
+                             [("left-distributivity", (2, 1, 1)),
+                              ("right-distributivity", (2, 1, 1))]),
+}
+
+
+@pytest.mark.parametrize("law", LAW_ORDER)
+def test_law_engine_least_witness_on_both_routes(law):
+    cells, expected = PLANTED[law]
+    s = _planted(cells)
+    assert law in dict(expected)
+    native = semiring_law_violations(range(s.n), s.add, s.mul, s.zero, s.one)
+    view = semiring_law_violations(list(range(s.n)), OpTable(s.plus),
+                                   OpTable(s.times), s.zero, s.one)
+    assert native == view == expected
+    assert expected == least_witnesses_oracle(range(s.n), s.plus, s.times, s.zero, s.one)
+    assert check_semiring_axioms(s).violations == tuple(expected)
+
+
+def test_absorption_witness_on_both_routes():
+    # 1+2 = 0 plants 0+1+2 = 0 with 0+1 != 0; xor plants 0+1+1 = 0
+    for s, expected in ((_planted([("add", 1, 2, 0), ("add", 2, 1, 0)]), (0, 1, 2)),
+                        (xor_semiring(), (0, 1, 1)), (nat_desk(2), None)):
+        assert absorption_witness(range(s.n), s.add) == expected
+        assert absorption_witness(list(range(s.n)), OpTable(s.plus)) == expected
+        least = next(((a, x, y) for a, x, y in itertools.product(range(s.n), repeat=3)
+                      if s.plus(s.plus(a, x), y) == a and s.plus(a, x) != a), None)
+        assert least == expected
 
 
 def test_enumeration_matches_independent_law_oracle():
