@@ -3,8 +3,7 @@ infinite sums over cardinal-multiplicity families, and build the finitary
 completion of a finite ordered semiring."""
 
 from .cardinal import (ALEPH0, Cardinal, CardinalFamily, CharacteristicCardinality,
-                       FIN0, FIN1, OmegaSequence, PartitionGeneratorConfig,
-                       SigmaSemiring, UNCOUNTABLE,
+                       FIN0, FIN1, OmegaSequence, SigmaSemiring, UNCOUNTABLE,
                        characteristic_cardinality, check_sigma_axioms, fin,
                        finite_subsums, is_d_complete, is_finitary,
                        sup_in_order)

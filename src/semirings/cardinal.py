@@ -8,6 +8,7 @@ axiom for infinite sums into a data-model invariant.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -99,9 +100,11 @@ def card_sum(cards) -> Cardinal:
 # families
 
 class CardinalFamily:
-    """Canonical value -> multiplicity map; zero multiplicities are absent."""
+    """Canonical value -> multiplicity map; zero multiplicities are absent.
+    The (value, multiplicity) pairs are stored once, sorted by value, so
+    equal families have equal tuples."""
 
-    __slots__ = ("_mult",)
+    __slots__ = ("_items",)
 
     def __init__(self, mult=()):
         items = mult.items() if hasattr(mult, "items") else mult
@@ -112,47 +115,44 @@ class CardinalFamily:
             if c == FIN0:
                 continue
             d[v] = card_add(d[v], c) if v in d else c
-        self._mult = d
+        self._items = tuple(sorted(d.items(), key=lambda kv: kv[0]))
 
     @classmethod
     def from_sequence(cls, values) -> "CardinalFamily":
-        counts = {}
-        for v in values:
-            counts[v] = counts.get(v, 0) + 1
-        return cls({v: fin(k) for v, k in counts.items()})
+        return cls((v, FIN1) for v in values)
 
     def get(self, v) -> Cardinal:
-        return self._mult.get(v, FIN0)
+        return dict(self._items).get(v, FIN0)
 
     def keys(self):
-        return sorted(self._mult)
+        return [v for v, _ in self._items]
 
     def items(self):
-        return sorted(self._mult.items(), key=lambda kv: kv[0])
+        return self._items
 
     def all_finite(self) -> bool:
-        return all(c.is_finite for c in self._mult.values())
+        return all(c.is_finite for _, c in self._items)
 
     def total_multiplicity(self, skip=None) -> Cardinal:
-        return card_sum(c for v, c in self._mult.items() if v != skip)
+        return card_sum(c for v, c in self._items if v != skip)
 
     def map_keys(self, f) -> "CardinalFamily":
         """Push the family through a function on values, merging collisions
         by cardinal addition (reindexing of the summed family)."""
-        return CardinalFamily((f(v), c) for v, c in self._mult.items())
+        return CardinalFamily((f(v), c) for v, c in self._items)
 
     def scale(self, k: Cardinal) -> "CardinalFamily":
         """The disjoint union of k copies of this family."""
-        return CardinalFamily((v, card_mul(k, c)) for v, c in self._mult.items())
+        return CardinalFamily((v, card_mul(k, c)) for v, c in self._items)
 
     def __eq__(self, other):
-        return isinstance(other, CardinalFamily) and self._mult == other._mult
+        return isinstance(other, CardinalFamily) and self._items == other._items
 
     def __hash__(self):
-        return hash(frozenset(self._mult.items()))
+        return hash(self._items)
 
     def __repr__(self):
-        inner = ", ".join(f"{v!r}: {c!r}" for v, c in self.items())
+        inner = ", ".join(f"{v!r}: {c!r}" for v, c in self._items)
         return "Family{" + inner + "}"
 
 
@@ -176,12 +176,8 @@ class OmegaSequence:
         return self.cycle[(i - len(self.prefix)) % len(self.cycle)]
 
     def family(self) -> CardinalFamily:
-        counts = {}
-        for v in self.prefix:
-            counts[v] = card_add(counts.get(v, FIN0), FIN1)
-        for v in self.cycle:
-            counts[v] = ALEPH0
-        return CardinalFamily(counts)
+        return CardinalFamily([(v, FIN1) for v in self.prefix]
+                              + [(v, ALEPH0) for v in self.cycle])
 
 
 def family_from_json(c, text: str) -> CardinalFamily:
@@ -573,44 +569,34 @@ def is_finitary(c: SigmaSemiring, fams):
     return True, None
 
 
-def family_battery(c: SigmaSemiring, seed: int, count: int,
-                   fin_bound: int = 4, support_bound: int = 3):
+_RANDOM_MULTS = (fin(1), fin(2), fin(3), fin(4), ALEPH0, UNCOUNTABLE)
+
+
+def _random_family(rng, sample) -> CardinalFamily:
+    """One to three keys from the sample, each with a multiplicity from
+    _RANDOM_MULTS."""
+    size = rng.randrange(1, 4)
+    keys = rng.sample(sample, min(size, len(sample)))
+    return CardinalFamily({v: rng.choice(_RANDOM_MULTS) for v in keys})
+
+
+def family_battery(c: SigmaSemiring, seed: int, count: int):
     """Deterministic family battery: targeted families first (empty,
     singletons, infinitely many ones, infinite multiplicities), then seeded
     random families over the element sample."""
     rng = random.Random(seed)
     sample = c.sample(8)
-    mults = [fin(k) for k in range(1, fin_bound + 1)] + [ALEPH0, UNCOUNTABLE]
     fams = [EMPTY_FAMILY, CardinalFamily({c.one: ALEPH0}),
             CardinalFamily({c.one: UNCOUNTABLE})]
     for v in sample:
         fams.append(CardinalFamily({v: FIN1}))
         fams.append(CardinalFamily({v: ALEPH0}))
-    for _ in range(count):
-        size = rng.randrange(1, support_bound + 1)
-        keys = rng.sample(sample, min(size, len(sample)))
-        fams.append(CardinalFamily({v: rng.choice(mults) for v in keys}))
+    fams.extend(_random_family(rng, sample) for _ in range(count))
     return fams
 
 
 # ---------------------------------------------------------------------------
 # the five-axiom battery
-
-@dataclass(frozen=True)
-class PartitionGeneratorConfig:
-    seed: int = 0
-    families: int = 500
-    listing_trials: int = 60
-    mult_fin_bound: int = 4
-    support_bound: int = 3
-    sample_size: int = 8
-
-    def __post_init__(self):
-        if self.families < 1 or self.listing_trials < 0:
-            raise ValueError("battery sizes must be positive")
-        if self.mult_fin_bound < 1 or self.support_bound < 1:
-            raise ValueError("generator bounds must be positive")
-
 
 def _split_cardinal(rng, m: Cardinal):
     """A random two-part split m = m1 + m2 realizable by an index partition."""
@@ -623,27 +609,23 @@ def _split_cardinal(rng, m: Cardinal):
                        (ALEPH0, UNCOUNTABLE), (UNCOUNTABLE, UNCOUNTABLE)])
 
 
-def _random_family(rng, sample, cfg: PartitionGeneratorConfig) -> CardinalFamily:
-    mults = [fin(k) for k in range(1, cfg.mult_fin_bound + 1)] + [ALEPH0, UNCOUNTABLE]
-    size = rng.randrange(1, cfg.support_bound + 1)
-    keys = rng.sample(sample, min(size, len(sample)))
-    return CardinalFamily({v: rng.choice(mults) for v in keys})
-
-
-def check_sigma_axioms(c: SigmaSemiring, gen: PartitionGeneratorConfig) -> CheckReport:
-    """Generator-based battery for the five infinite-sum axioms.
+def check_sigma_axioms(c: SigmaSemiring, seed: int, families: int) -> CheckReport:
+    """Generator-based battery for the five infinite-sum axioms, with
+    `families` seeded random families.
 
     Partitions are exercised through two-block multiplicity splits and
     block repetition (kappa disjoint copies of a block), the shapes every
     argument in scope actually uses; arbitrary partitions of uncountable
     index sets are not finitely enumerable."""
-    return CheckReport.first_per_law(_sigma_axiom_violations(c, gen))
+    if families < 1:
+        raise ValueError("battery sizes must be positive")
+    return CheckReport.first_per_law(_sigma_axiom_violations(c, seed, families))
 
 
-def _sigma_axiom_violations(c: SigmaSemiring, gen: PartitionGeneratorConfig):
+def _sigma_axiom_violations(c: SigmaSemiring, seed: int, families: int):
     """Yield (law, witness) for every failed instance, in battery order."""
-    rng = random.Random(gen.seed)
-    sample = c.sample(gen.sample_size)
+    rng = random.Random(seed)
+    sample = c.sample(8)
     if c.sigma(EMPTY_FAMILY) != c.zero:
         yield "sigma-empty", (c.sigma(EMPTY_FAMILY),)
     for a in sample:
@@ -658,7 +640,7 @@ def _sigma_axiom_violations(c: SigmaSemiring, gen: PartitionGeneratorConfig):
 
     # bijection invariance is representational: any reordering of a listing
     # canonicalizes to the same family, hence the same Sigma
-    for _ in range(gen.listing_trials):
+    for _ in range(60):
         listing = [rng.choice(sample) for _ in range(rng.randrange(8))]
         shuffled = list(listing)
         rng.shuffle(shuffled)
@@ -668,22 +650,16 @@ def _sigma_axiom_violations(c: SigmaSemiring, gen: PartitionGeneratorConfig):
             yield "sigma-bijection", (tuple(listing), tuple(shuffled))
 
     kappas = [fin(0), fin(2), fin(3), ALEPH0, UNCOUNTABLE]
-    for _ in range(gen.families):
-        f = _random_family(rng, sample, cfg=gen)
+    for _ in range(families):
+        f = _random_family(rng, sample)
         total = c.sigma(f)
 
-        parts1, parts2 = {}, {}
-        for v, m in f.items():
-            m1, m2 = _split_cardinal(rng, m)
-            if m1 != FIN0:
-                parts1[v] = card_add(parts1.get(v, FIN0), m1)
-            if m2 != FIN0:
-                parts2[v] = card_add(parts2.get(v, FIN0), m2)
-        blockwise = c.plus(c.sigma(CardinalFamily(parts1)),
-                           c.sigma(CardinalFamily(parts2)))
+        splits = [(v, _split_cardinal(rng, m)) for v, m in f.items()]
+        part1 = CardinalFamily((v, m1) for v, (m1, _) in splits)
+        part2 = CardinalFamily((v, m2) for v, (_, m2) in splits)
+        blockwise = c.plus(c.sigma(part1), c.sigma(part2))
         if blockwise != total:
-            yield "sigma-partition-split", (f, CardinalFamily(parts1),
-                                            CardinalFamily(parts2), total, blockwise)
+            yield "sigma-partition-split", (f, part1, part2, total, blockwise)
 
         kappa = rng.choice(kappas)
         lhs = c.sigma(f.scale(kappa))
@@ -724,11 +700,15 @@ def _stabilization_index(values, ladder):
     return ladder[i]
 
 
-def characteristic_cardinality(c: SigmaSemiring, bound: int = 3) -> CharacteristicCardinality:
+# the finite multiplicities the characteristic scans go up to
+_LADDER_BOUND = 3
+
+
+def characteristic_cardinality(c: SigmaSemiring) -> CharacteristicCardinality:
     """lambda1: least class kappa from which Sigma of kappa-many ones is
     constant; lambdaS: the analogous worst case over a bounded family space.
     The bound lambdaS <= max(lambda1, carrier size) is asserted."""
-    ladder = [fin(k) for k in range(bound + 1)] + [ALEPH0, UNCOUNTABLE]
+    ladder = [fin(k) for k in range(_LADDER_BOUND + 1)] + [ALEPH0, UNCOUNTABLE]
     ones = [c.sigma(CardinalFamily({c.one: k})) for k in ladder]
     lambda1 = _stabilization_index(ones, ladder)
 
@@ -736,7 +716,7 @@ def characteristic_cardinality(c: SigmaSemiring, bound: int = 3) -> Characterist
     # the finite part of the ladder exact rather than truncated
     cur = c.zero
     fixed = False
-    for _ in range(bound + 1):
+    for _ in range(_LADDER_BOUND + 1):
         nxt = c.plus(cur, c.one)
         if nxt == cur:
             fixed = True
@@ -745,7 +725,7 @@ def characteristic_cardinality(c: SigmaSemiring, bound: int = 3) -> Characterist
     caveat = not fixed
 
     sample = c.sample(6)
-    mult_ladder = [fin(k) for k in range(1, bound + 1)] + [ALEPH0, UNCOUNTABLE]
+    mult_ladder = [fin(k) for k in range(1, _LADDER_BOUND + 1)] + [ALEPH0, UNCOUNTABLE]
     supports = [(v,) for v in sample]
     supports += [(u, v) for i, u in enumerate(sample) for v in sample[i + 1:]]
     # the subfamily scans of different families overlap heavily, so each
@@ -760,10 +740,10 @@ def characteristic_cardinality(c: SigmaSemiring, bound: int = 3) -> Characterist
 
     worst = FIN0
     for support in supports:
-        for mults in _mult_choices(mult_ladder, len(support)):
+        for mults in itertools.product(mult_ladder, repeat=len(support)):
             target = sigma(support, mults)
             best = None
-            for sub in _subfamilies(support, mults, bound):
+            for sub in _subfamilies(mults):
                 if sigma(support, sub) == target:
                     size = card_sum(sub)
                     if best is None or size < best:
@@ -778,21 +758,16 @@ def characteristic_cardinality(c: SigmaSemiring, bound: int = 3) -> Characterist
     return CharacteristicCardinality(lambda1, worst, caveat)
 
 
-def _mult_choices(ladder, k):
-    if k == 1:
-        return [(m,) for m in ladder]
-    return [(m1, m2) for m1 in ladder for m2 in ladder]
-
-
-def _subfamilies(support, mults, bound):
+def _subfamilies(mults):
+    """The multiplicity vectors below `mults`, finite parts capped at the
+    ladder bound, in lexicographic order."""
     per_key = []
     for m in mults:
-        opts = [fin(j) for j in range(min(m.n if m.is_finite else bound, bound) + 1)]
+        top = min(m.n, _LADDER_BOUND) if m.is_finite else _LADDER_BOUND
+        opts = [fin(j) for j in range(top + 1)]
         if m >= ALEPH0:
             opts.append(ALEPH0)
         if m == UNCOUNTABLE:
             opts.append(UNCOUNTABLE)
         per_key.append(opts)
-    if len(per_key) == 1:
-        return [(m,) for m in per_key[0]]
-    return [(m1, m2) for m1 in per_key[0] for m2 in per_key[1]]
+    return itertools.product(*per_key)

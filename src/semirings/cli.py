@@ -13,15 +13,15 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .cardinal import (CardinalFamily, PartitionGeneratorConfig, SigmaSemiring,
-                       SubsumLimitError, family_battery, family_from_json,
-                       is_d_complete, is_finitary, omega_sequence_battery,
+from .cardinal import (CardinalFamily, SigmaSemiring, SubsumLimitError,
+                       family_battery, family_from_json, is_d_complete,
+                       is_finitary, omega_sequence_battery,
                        omega_sequence_from_json, parse_cardinal)
 from .cardinal import check_sigma_axioms as sigma_axiom_battery
 from .completion import (NotOrderableError, completion_of_finite, sim_verdict)
-from .core import (FiniteSemiring, StructureError, check_semiring_axioms,
-                   is_orderable, is_zero_sum_free, natural_quasiorder,
-                   semiring_from_json)
+from .core import (FiniteSemiring, StructureError, check_ordered_semiring,
+                   check_semiring_axioms, is_orderable, is_zero_sum_free,
+                   natural_quasiorder, semiring_from_json)
 from .gallery import adjoin_infinity, gallery_names, gallery_semiring
 from .series import poly_from_text, poly_to_text
 from .suite import SuiteConfig, run_selftest
@@ -29,7 +29,6 @@ from .suite import SuiteConfig, run_selftest
 
 @dataclass(frozen=True)
 class RunConfig:
-    command: str
     inputs: tuple[str, ...]
     seed: int = 1
     families: int = 500
@@ -54,15 +53,22 @@ def _gallery_member(name: str):
 
 def _load_finite(source: str):
     """Resolve an input to (FiniteSemiring, optional order): a JSON path or
-    a gallery name with a finite carrier."""
+    a gallery name with a finite carrier.  An order supplied in the JSON
+    must be compatible with the tables."""
     path = Path(source)
     if path.suffix == ".json" or path.exists():
         try:
-            return semiring_from_json(path.read_text(encoding="utf-8"))
+            s, order = semiring_from_json(path.read_text(encoding="utf-8"))
         except OSError as e:
             raise InputError(f"cannot read {source}: {e}") from None
         except StructureError as e:
             raise InputError(f"{source}: {e}") from None
+        if order is not None:
+            report = check_ordered_semiring(s, order)
+            if not report.passed:
+                law, witness = report.violations[0]
+                raise InputError(f"{source}: the supplied order violates {law} at {witness}")
+        return s, order
     member = _gallery_member(source)
     if isinstance(member, FiniteSemiring):
         return member, None
@@ -123,7 +129,9 @@ def cmd_check(cfg: RunConfig) -> int:
     if report.passed:
         orderable, wit = is_orderable(s)
         zsf, zwit = is_zero_sum_free(s)
-        payload["natural-quasiorder"] = _order_matrix(natural_quasiorder(s).rel)
+        # when s is orderable, is_orderable returns the natural quasiorder
+        payload["natural-quasiorder"] = _order_matrix(
+            wit.rel if orderable else natural_quasiorder(s).rel)
         payload["orderable"] = orderable
         if not orderable:
             a, x, y = wit
@@ -148,7 +156,8 @@ def cmd_order(cfg: RunConfig) -> int:
     payload = {
         "command": "order",
         "input": cfg.inputs[0],
-        "natural-quasiorder": _order_matrix(natural_quasiorder(s).rel),
+        "natural-quasiorder": _order_matrix(
+            wit.rel if orderable else natural_quasiorder(s).rel),
         "orderable": orderable,
     }
     if orderable:
@@ -319,8 +328,8 @@ def cmd_gallery(cfg: RunConfig) -> int:
                    "sample": [member.label_of(v) for v in member.sample(8)]}
         if member.has_sigma:
             payload["sigma-table"] = _sigma_table(member, member.sample(4))
-            report = sigma_axiom_battery(member, PartitionGeneratorConfig(
-                seed=cfg.seed, families=max(40, cfg.families // 10)))
+            report = sigma_axiom_battery(member, cfg.seed,
+                                         max(40, cfg.families // 10))
             payload["sigma-axioms"] = "pass" if report.passed else "fail"
         else:
             payload["sigma-axioms"] = "n/a"
@@ -372,7 +381,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.battery is not None and args.battery < 1:
+        parser.error(f"argument --battery: must be at least 1, got {args.battery}")
     fn, (lo, hi) = _COMMANDS[args.command]
     if not lo <= len(args.inputs) <= hi:
         print(f"error: {args.command} takes {lo}"
@@ -380,7 +392,6 @@ def main(argv=None) -> int:
               + f" input argument(s), got {len(args.inputs)}", file=sys.stderr)
         return 2
     cfg = RunConfig(
-        command=args.command,
         inputs=tuple(args.inputs),
         seed=args.seed,
         families=args.battery if args.battery is not None else 500,
@@ -391,10 +402,7 @@ def main(argv=None) -> int:
     )
     try:
         return fn(cfg)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except StructureError as e:
+    except (InputError, StructureError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

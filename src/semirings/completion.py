@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 from .core import (CheckReport, FiniteSemiring, InternalConsistencyError,
                    PartialOrder, check_ordered_semiring, is_orderable)
-from .cardinal import (ALEPH0, CardinalFamily, PartitionGeneratorConfig,
-                       SigmaSemiring, UNCOUNTABLE, characteristic_cardinality,
-                       check_sigma_axioms, family_battery, finite_subsums,
-                       is_d_complete, is_finitary, omega_sequence_battery)
+from .cardinal import (ALEPH0, CardinalFamily, SigmaSemiring, UNCOUNTABLE,
+                       characteristic_cardinality, check_sigma_axioms,
+                       family_battery, finite_subsums, is_d_complete,
+                       is_finitary, omega_sequence_battery)
 from .gallery import four_valued, nat_infinity
 from .series import (Polynomial, TruncatedSeries, enumerate_below,
                      enumerate_below_series, evaluate_phi)
@@ -215,8 +215,7 @@ def completion_of_finite(s: FiniteSemiring, o: PartialOrder | None = None,
         if not rep.passed:
             raise EmbeddingError(f"supplied order is not compatible: {rep.violations}")
     comp = SigmaSemiring.from_finite("completion", s, _sup_sigma(s, o), o)
-    axioms = check_sigma_axioms(comp, PartitionGeneratorConfig(seed=seed,
-                                                               families=families))
+    axioms = check_sigma_axioms(comp, seed, families)
     ok_d, wd = is_d_complete(comp, omega_sequence_battery(comp, seed, sequences))
     ok_f, wf = is_finitary(comp, family_battery(comp, seed, families))
     extra = []

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import gallery
-from .cardinal import (ALEPH0, PartitionGeneratorConfig, UNCOUNTABLE,
-                       characteristic_cardinality, family_battery,
-                       is_d_complete, is_finitary, omega_sequence_battery)
+from .cardinal import (ALEPH0, UNCOUNTABLE, characteristic_cardinality,
+                       family_battery, is_d_complete, is_finitary,
+                       omega_sequence_battery)
 from .cardinal import check_sigma_axioms as sigma_axiom_battery
 from .completion import completion_of_finite, no_universal_complete_demo
 from .core import (FiniteSemiring, OpTable, absorption_witness,
@@ -30,7 +30,6 @@ class SuiteConfig:
     families: int = 500
     sequences: int = 200
     triples: int = 300
-    size4_samples: int = 200
 
 
 @dataclass(frozen=True)
@@ -41,7 +40,7 @@ class CriterionResult:
     detail: str
 
 
-def _sigma_members(cfg: SuiteConfig):
+def _sigma_members():
     return [
         gallery.nat_infinity(),
         gallery.powerset_semiring("abc"),
@@ -69,7 +68,7 @@ def criterion_semiring_laws(cfg: SuiteConfig) -> CriterionResult:
         counts[s.n] += 1
         if not check_semiring_axioms(s).passed:
             bad.append(f"enumerated n={s.n}")
-    for member in _sigma_members(cfg):
+    for member in _sigma_members():
         if member.is_finite:
             if not check_semiring_axioms(member.base).passed:
                 bad.append(member.name)
@@ -83,6 +82,9 @@ def criterion_semiring_laws(cfg: SuiteConfig) -> CriterionResult:
 
 # --- criterion 2 -----------------------------------------------------------
 
+_SIZE4_SAMPLES = 200
+
+
 def criterion_orderability(cfg: SuiteConfig) -> CriterionResult:
     disagreements = []
     small = 0
@@ -93,7 +95,7 @@ def criterion_orderability(cfg: SuiteConfig) -> CriterionResult:
         if found.status == "inconclusive" or ok != (found.status == "found"):
             disagreements.append(f"n={s.n} tables={s.add}/{s.mul}")
     distinct = set()
-    for i in range(cfg.size4_samples):
+    for i in range(_SIZE4_SAMPLES):
         s = random_semiring(4, cfg.seed + i)
         distinct.add((s.add, s.mul))
         ok, _ = is_orderable(s)
@@ -101,7 +103,7 @@ def criterion_orderability(cfg: SuiteConfig) -> CriterionResult:
         if found.status == "inconclusive" or ok != (found.status == "found"):
             disagreements.append(f"n=4 seed={cfg.seed + i}")
     detail = (f"agreement on {small} exhaustive tables (n<=3) and "
-              f"{cfg.size4_samples} samples (n=4, {len(distinct)} distinct)"
+              f"{_SIZE4_SAMPLES} samples (n=4, {len(distinct)} distinct)"
               + (f"; disagreements: {disagreements}" if disagreements else ""))
     return CriterionResult(2, "orderability-equivalence", not disagreements,
                            detail)
@@ -111,9 +113,8 @@ def criterion_orderability(cfg: SuiteConfig) -> CriterionResult:
 
 def criterion_sigma_axioms(cfg: SuiteConfig) -> CriterionResult:
     failures = []
-    for member in _sigma_members(cfg):
-        rep = sigma_axiom_battery(member, PartitionGeneratorConfig(
-            seed=cfg.seed, families=cfg.families))
+    for member in _sigma_members():
+        rep = sigma_axiom_battery(member, cfg.seed, cfg.families)
         if not rep.passed:
             failures.append(f"{member.name}: {rep.law_names()}")
     detail = (f"five-axiom battery, {cfg.families} families each, on 7 members"
@@ -137,7 +138,7 @@ def _classify(member, cfg: SuiteConfig):
 
 def criterion_classification(cfg: SuiteConfig) -> CriterionResult:
     problems = []
-    members = {m.name: m for m in _sigma_members(cfg)}
+    members = {m.name: m for m in _sigma_members()}
 
     for name in ("nat-infinity", "powerset:3", "lang:1:2"):
         d_ok, _, f_ok, _, _ = _classify(members[name], cfg)
@@ -182,7 +183,7 @@ def criterion_classification(cfg: SuiteConfig) -> CriterionResult:
 # --- criterion 5 -----------------------------------------------------------
 
 def criterion_fact_implications(cfg: SuiteConfig) -> CriterionResult:
-    members = list(_sigma_members(cfg))
+    members = list(_sigma_members())
     extra = 0
     for s in _size3_semirings():
         if s.n == 3 and is_zero_sum_free(s)[0] and extra < 15:
@@ -306,8 +307,8 @@ def criterion_adjunction_caveat(cfg: SuiteConfig) -> CriterionResult:
             problems.append("witness replay did not reproduce the inequality")
     clean = 0
     for s in pool[:20]:
-        rep = sigma_axiom_battery(adjoin_infinity(s), PartitionGeneratorConfig(
-            seed=cfg.seed, families=max(60, cfg.families // 8)))
+        rep = sigma_axiom_battery(adjoin_infinity(s), cfg.seed,
+                                  max(60, cfg.families // 8))
         bad = [name for name in rep.law_names()
                if not name.startswith("sigma-distributivity")]
         if bad:

@@ -12,8 +12,7 @@ from semirings.suite import (SuiteConfig, criterion_adjunction_caveat,
                              criterion_orderability, criterion_semiring_laws,
                              criterion_sigma_axioms, run_selftest)
 
-CFG = SuiteConfig(seed=1, families=500, sequences=200, triples=300,
-                  size4_samples=200)
+CFG = SuiteConfig(seed=1, families=500, sequences=200, triples=300)
 
 _cache = {}
 
@@ -65,7 +64,7 @@ def test_criterion_8_negative_result_demo():
 
 def test_criterion_9_selftest_determinism():
     code, body = run_selftest(SuiteConfig(seed=2, families=150, sequences=80,
-                                          triples=90, size4_samples=200))
+                                          triples=90))
     line = [ln for ln in body.splitlines() if "criterion-9" in ln][0]
     print(line)
     assert code == 0, body

@@ -49,3 +49,53 @@ def test_suite_has_the_traced_criteria():
 
 def test_workloads_module_imports():
     assert callable(_load("workloads").congruence_inputs)
+
+
+# perfbench/workloads.py builds series sides as TruncatedSeries(2, {...})
+# and tells the two kinds of side apart with isinstance(x, Polynomial);
+# the traced run counts len() of what the enumerators return, and
+# perfbench/selfcheck.py patches them on `completion` and slices their
+# results with [::-1]
+
+def test_series_side_is_not_a_polynomial():
+    series = importlib.import_module("semirings.series")
+    gallery = importlib.import_module("semirings.gallery")
+    r = series.TruncatedSeries(2, {(0,): gallery.NINF_INF, (0, 1): gallery.ninf(2)})
+    assert r.coeffs == {(0,): gallery.NINF_INF, (0, 1): gallery.ninf(2)}
+    assert not isinstance(r, series.Polynomial)
+
+
+def test_enumerators_return_lists():
+    series = importlib.import_module("semirings.series")
+    gallery = importlib.import_module("semirings.gallery")
+    p = series.Polynomial({(0,): 2, (1,): 1})
+    r = series.TruncatedSeries(2, {(0,): gallery.NINF_INF})
+    assert type(series.enumerate_below(p)) is list
+    assert type(series.enumerate_below_series(r, 2)) is list
+
+
+def test_sim_verdict_enumerates_through_the_completion_module(monkeypatch):
+    series = importlib.import_module("semirings.series")
+    completion = importlib.import_module("semirings.completion")
+    gallery = importlib.import_module("semirings.gallery")
+    core = importlib.import_module("semirings.core")
+    calls = []
+
+    def spy(name):
+        real = getattr(completion, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
+
+    for name in ("enumerate_below", "enumerate_below_series"):
+        monkeypatch.setattr(completion, name, spy(name))
+    s = gallery.boolean()
+    _, order = core.is_orderable(s)
+    p = series.Polynomial({(1,): 1})
+    completion.sim_verdict(p, series.Polynomial({(1,): 2}), s, order)
+    assert "enumerate_below" in calls
+    r = series.TruncatedSeries(1, {(1,): gallery.NINF_INF})
+    completion.sim_verdict(p, r, s, order)
+    assert "enumerate_below_series" in calls

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from semirings.cardinal import (ALEPH0, CardinalFamily, FIN0, FIN1,
                                 MissingOrderError, OmegaSequence,
-                                PartitionGeneratorConfig,
                                 SigmaSemiring, UNCOUNTABLE, card_add, card_mul,
                                 characteristic_cardinality, check_sigma_axioms,
                                 eventually_constant_sum, family_battery,
@@ -57,6 +56,19 @@ def test_family_drops_zero_multiplicities():
     f = CardinalFamily({1: FIN0, 2: fin(2)})
     assert f.keys() == [2]
     assert f.get(1) == FIN0
+
+
+def test_family_is_canonical_under_insertion_order_and_merging():
+    entries = [(ninf(3), fin(1)), (NINF_INF, ALEPH0), (ninf(3), fin(2)),
+               (ninf(0), UNCOUNTABLE), (ninf(1), FIN0)]
+    merged = CardinalFamily({ninf(0): UNCOUNTABLE, ninf(3): fin(3), NINF_INF: ALEPH0})
+    for order in itertools.permutations(entries):
+        f = CardinalFamily(order)
+        assert f == merged and hash(f) == hash(merged)
+        assert f.items() == merged.items()
+        assert list(f.items()) == [(ninf(0), UNCOUNTABLE), (ninf(3), fin(3)),
+                                   (NINF_INF, ALEPH0)]
+    assert merged.keys() == [ninf(0), ninf(3), NINF_INF]
 
 
 @given(st.lists(st.integers(min_value=0, max_value=4), max_size=9),
@@ -266,20 +278,17 @@ def test_finitary_needs_order():
 # -- the axiom battery ---------------------------------------------------------
 
 def test_sigma_axioms_nat_infinity_thousand_families():
-    rep = check_sigma_axioms(nat_infinity(),
-                             PartitionGeneratorConfig(seed=11, families=1000))
+    rep = check_sigma_axioms(nat_infinity(), seed=11, families=1000)
     assert rep.passed
 
 
 def test_sigma_axioms_powerset():
-    rep = check_sigma_axioms(powerset_semiring("abc"),
-                             PartitionGeneratorConfig(seed=3, families=300))
+    rep = check_sigma_axioms(powerset_semiring("abc"), seed=3, families=300)
     assert rep.passed
 
 
 def test_sigma_axioms_three_valued_complete():
-    rep = check_sigma_axioms(three_valued(),
-                             PartitionGeneratorConfig(seed=3, families=300))
+    rep = check_sigma_axioms(three_valued(), seed=3, families=300)
     assert rep.passed
 
 
@@ -296,7 +305,7 @@ def test_sigma_axioms_keep_first_witness_per_law():
         return mask
 
     wrong = SigmaSemiring.from_finite("wrong", base.base, sigma, base.order)
-    rep = check_sigma_axioms(wrong, PartitionGeneratorConfig(seed=5, families=80))
+    rep = check_sigma_axioms(wrong, seed=5, families=80)
     family = CardinalFamily({1: fin(4), 3: ALEPH0})
     assert rep.violations == (
         ("sigma-distributivity-left", (1, family, 1, 3)),
@@ -306,8 +315,9 @@ def test_sigma_axioms_keep_first_witness_per_law():
 
 
 def test_battery_config_validation():
-    with pytest.raises(ValueError):
-        PartitionGeneratorConfig(families=0)
+    for families in (0, -1):
+        with pytest.raises(ValueError):
+            check_sigma_axioms(nat_infinity(), seed=0, families=families)
 
 
 # -- characteristic cardinality --------------------------------------------------

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from semirings import cli
-from semirings.core import is_orderable, semiring_to_json
+from semirings.core import (enumerate_semirings, is_orderable, natural_quasiorder,
+                            semiring_to_json)
 from semirings.gallery import boolean, xor_semiring
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -252,3 +253,42 @@ def test_maxlen_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["gallery", "--maxlen", "2"])
     assert exc.value.code == 2
+
+
+BAD_ORDER = {"elements": ["0", "1"], "zero": 0, "one": 1,
+             "add": [[0, 1], [1, 1]], "mul": [[0, 0], [0, 1]], "order": [[1, 0]]}
+
+
+@pytest.mark.parametrize("argv", [["check"], ["order"], ["complete"], ["dcomplete"],
+                                  ["finitary"], ["congruence", "1*[1]", "1*[0]"]])
+def test_incompatible_supplied_order_exits_two(tmp_path, capsys, argv):
+    path = tmp_path / "bad-order.json"
+    path.write_text(json.dumps(BAD_ORDER), encoding="utf-8")
+    assert cli.main([argv[0], str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and "zero-least" in captured.err
+
+
+@pytest.mark.parametrize("battery", ["0", "-3"])
+def test_battery_below_one_exits_two(capsys, battery):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["selftest", "--battery", battery])
+    assert exc.value.code == 2
+    assert "--battery: must be at least 1" in capsys.readouterr().err
+
+
+def test_printed_natural_quasiorder_on_every_small_table(tmp_path, capsys):
+    # orderable tables print the natural order that is_orderable returns;
+    # it must be the natural quasiorder itself
+    tables = [s for n in (1, 2, 3) for s in enumerate_semirings(n)] + [xor_semiring()]
+    assert any(not is_orderable(s)[0] for s in tables)
+    for i, s in enumerate(tables):
+        path = tmp_path / f"t{i}.json"
+        path.write_text(semiring_to_json(s), encoding="utf-8")
+        want = ["".join("1" if x else "0" for x in row)
+                for row in natural_quasiorder(s).rel]
+        for command in ("check", "order"):
+            cli.main([command, str(path), "--format", "json"])
+            assert json.loads(capsys.readouterr().out)["natural-quasiorder"] == want

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semirings.completion import completion_of_finite
+from semirings.completion import completion_of_finite, lesssim
 from semirings.core import is_orderable
 from semirings.gallery import (NINF_INF, boolean, nat_infinity, ninf,
                                three_valued)
@@ -13,7 +13,7 @@ from semirings.series import (POLY_ONE, POLY_ZERO, Polynomial, TruncatedSeries,
                               enumerate_below_series, evaluate_phi,
                               pointwise_leq, poly_from_text, poly_to_text,
                               series_from_text, series_to_text,
-                              series_zero, series_d_complete_check)
+                              series_d_complete_check, series_semiring)
 
 
 def random_poly(rng, n, max_support=3, max_len=3, max_coeff=3):
@@ -191,7 +191,7 @@ def test_pointwise_leq_agrees_with_additive_solvability():
 
 def test_series_additive_identity():
     r = TruncatedSeries(2, {(0,): ninf(2), (): NINF_INF})
-    assert r + series_zero(2) == r
+    assert r + TruncatedSeries(2) == r
 
 
 def test_series_infinite_epsilon_squares_to_itself():
@@ -201,7 +201,7 @@ def test_series_infinite_epsilon_squares_to_itself():
 
 def test_series_maxlen_mismatch():
     with pytest.raises(ValueError):
-        series_zero(2) + series_zero(3)
+        TruncatedSeries(2) + TruncatedSeries(3)
 
 
 def test_polynomial_embeds_into_series_compatibly():
@@ -239,6 +239,64 @@ def test_enumerate_below_series_caps_infinity():
     below = enumerate_below_series(r, cap=2)
     assert len(below) == 3 * 2
     assert all(p.get(()) <= 2 for p in below)
+
+
+def random_series(rng, maxlen=2, alphabet=2):
+    coeffs = {}
+    for _ in range(rng.randrange(4)):
+        w = tuple(rng.randrange(alphabet) for _ in range(rng.randrange(maxlen + 1)))
+        coeffs[w] = rng.choice([ninf(0), ninf(1), ninf(2), ninf(3), NINF_INF])
+    return TruncatedSeries(maxlen, coeffs)
+
+
+def test_truncated_series_is_the_nat_infinity_series_semiring():
+    # TruncatedSeries(L, ...) is series_semiring(nat_infinity(), k, L) with
+    # the element written as a dict rather than a sorted tuple of pairs
+    sr = series_semiring(nat_infinity(), 2, 2)
+
+    def element(r):
+        return tuple(sorted(r.coeffs.items()))
+
+    rng = random.Random(53)
+    for _ in range(300):
+        x, y = random_series(rng), random_series(rng)
+        if rng.random() < 0.5:
+            y = x + y
+        assert element(x + y) == sr.plus(element(x), element(y))
+        assert element(x * y) == sr.times(element(x), element(y))
+        assert pointwise_leq(x, y) == sr.leq(element(x), element(y))
+
+
+def test_enumeration_order_is_lexicographic_over_the_shortlex_support():
+    # the order the congruence check scans in; its first failing polynomial
+    # is the reported witness
+    p = Polynomial({(1,): 2, (): 1, (0, 1): 1})
+    assert [repr(x) for x in enumerate_below(p)] == [
+        "Poly(0)", "Poly(1*[0, 1])", "Poly(1*[1])", "Poly(1*[1] + 1*[0, 1])",
+        "Poly(2*[1])", "Poly(2*[1] + 1*[0, 1])", "Poly(1*[])",
+        "Poly(1*[] + 1*[0, 1])", "Poly(1*[] + 1*[1])",
+        "Poly(1*[] + 1*[1] + 1*[0, 1])", "Poly(1*[] + 2*[1])",
+        "Poly(1*[] + 2*[1] + 1*[0, 1])"]
+    r = TruncatedSeries(2, {(1,): NINF_INF, (): ninf(1), (0,): ninf(5)})
+    assert [repr(x) for x in enumerate_below_series(r, 2)] == [
+        "Poly(0)", "Poly(1*[1])", "Poly(2*[1])", "Poly(1*[0])",
+        "Poly(1*[0] + 1*[1])", "Poly(1*[0] + 2*[1])", "Poly(2*[0])",
+        "Poly(2*[0] + 1*[1])", "Poly(2*[0] + 2*[1])", "Poly(1*[])",
+        "Poly(1*[] + 1*[1])", "Poly(1*[] + 2*[1])", "Poly(1*[] + 1*[0])",
+        "Poly(1*[] + 1*[0] + 1*[1])", "Poly(1*[] + 1*[0] + 2*[1])",
+        "Poly(1*[] + 2*[0])", "Poly(1*[] + 2*[0] + 1*[1])",
+        "Poly(1*[] + 2*[0] + 2*[1])"]
+
+
+def test_lesssim_witness_is_the_first_failing_polynomial():
+    s = three_valued().base
+    _, o = is_orderable(s)
+    one_finite = Polynomial({(1,): 1})
+    half = lesssim(Polynomial({(1,): 2, (): 1, (2, 1): 1}), one_finite, s, o)
+    assert half.holds is False and half.witness == Polynomial({(2, 1): 1})
+    r = TruncatedSeries(1, {(): ninf(1), (1,): NINF_INF, (2,): ninf(1)})
+    half = lesssim(r, one_finite, s, o, cap=3)
+    assert half.holds is False and half.witness == Polynomial({(2,): 1})
 
 
 # -- series d-completeness over various coefficient semirings -------------------------
