@@ -702,6 +702,9 @@ def _stabilization_index(values, ladder):
 
 # the finite multiplicities the characteristic scans go up to
 _LADDER_BOUND = 3
+# the sizes a subfamily over at most two keys can have with finite
+# multiplicities, 0 .. 2 * _LADDER_BOUND
+_FINITE_SIZES = 2 * _LADDER_BOUND + 1
 
 
 def characteristic_cardinality(c: SigmaSemiring) -> CharacteristicCardinality:
@@ -724,32 +727,29 @@ def characteristic_cardinality(c: SigmaSemiring) -> CharacteristicCardinality:
         cur = nxt
     caveat = not fixed
 
+    # Families over a support of one or two sample values, with
+    # multiplicities given as positions 0..5 on the ladder.  The subfamilies
+    # of a position vector m are the vectors below it, product(range(p + 1)),
+    # so one Sigma table per support serves every family over it.
     sample = c.sample(6)
-    mult_ladder = [fin(k) for k in range(1, _LADDER_BOUND + 1)] + [ALEPH0, UNCOUNTABLE]
     supports = [(v,) for v in sample]
     supports += [(u, v) for i, u in enumerate(sample) for v in sample[i + 1:]]
-    # the subfamily scans of different families overlap heavily, so each
-    # (support, multiplicities) pair reaches Sigma once per call
-    memo = {}
-
-    def sigma(support, mults):
-        key = (support, mults)
-        if key not in memo:
-            memo[key] = c.sigma(CardinalFamily(zip(support, mults)))
-        return memo[key]
-
-    worst = FIN0
+    positions = {k: list(itertools.product(range(len(ladder)), repeat=k))
+                 for k in (1, 2)}
+    size = {m: _size_key(m) for ms in positions.values() for m in ms}
+    worst = 0
     for support in supports:
-        for mults in itertools.product(mult_ladder, repeat=len(support)):
-            target = sigma(support, mults)
-            best = None
-            for sub in _subfamilies(mults):
-                if sigma(support, sub) == target:
-                    size = card_sum(sub)
-                    if best is None or size < best:
-                        best = size
+        table = {m: c.sigma(CardinalFamily(zip(support, (ladder[p] for p in m))))
+                 for m in positions[len(support)]}
+        for mults, target in table.items():
+            if 0 in mults:
+                continue
+            best = min(size[sub] for sub in
+                       itertools.product(*(range(p + 1) for p in mults))
+                       if table[sub] == target)
             if best > worst:
                 worst = best
+    worst = fin(worst) if worst < _FINITE_SIZES else ladder[worst - _FINITE_SIZES]
     carrier_card = fin(c.base.n) if c.is_finite else ALEPH0
     if worst > max(lambda1, carrier_card):
         raise InternalConsistencyError(
@@ -758,16 +758,9 @@ def characteristic_cardinality(c: SigmaSemiring) -> CharacteristicCardinality:
     return CharacteristicCardinality(lambda1, worst, caveat)
 
 
-def _subfamilies(mults):
-    """The multiplicity vectors below `mults`, finite parts capped at the
-    ladder bound, in lexicographic order."""
-    per_key = []
-    for m in mults:
-        top = min(m.n, _LADDER_BOUND) if m.is_finite else _LADDER_BOUND
-        opts = [fin(j) for j in range(top + 1)]
-        if m >= ALEPH0:
-            opts.append(ALEPH0)
-        if m == UNCOUNTABLE:
-            opts.append(UNCOUNTABLE)
-        per_key.append(opts)
-    return itertools.product(*per_key)
+def _size_key(m):
+    """The size of a subfamily given as ladder positions, as an integer that
+    orders like the cardinal: the finite sum, or past every finite sum of
+    two positions when some multiplicity is infinite."""
+    top = max(m)
+    return sum(m) if top <= _LADDER_BOUND else _FINITE_SIZES + top

@@ -18,11 +18,13 @@ from .cardinal import (CardinalFamily, SigmaSemiring, SubsumLimitError,
                        is_finitary, omega_sequence_battery,
                        omega_sequence_from_json, parse_cardinal)
 from .cardinal import check_sigma_axioms as sigma_axiom_battery
-from .completion import (NotOrderableError, completion_of_finite, sim_verdict)
+from .completion import (NotOrderableError, completion_of_finite,
+                         completion_semiring, sim_verdict)
 from .core import (FiniteSemiring, StructureError, check_ordered_semiring,
                    check_semiring_axioms, is_orderable, is_zero_sum_free,
                    natural_quasiorder, semiring_from_json)
-from .gallery import adjoin_infinity, gallery_names, gallery_semiring
+from .gallery import (ZeroSumError, adjoin_infinity, gallery_names,
+                      gallery_semiring)
 from .series import poly_from_text, poly_to_text
 from .suite import SuiteConfig, run_selftest
 
@@ -51,14 +53,18 @@ def _gallery_member(name: str):
         raise InputError(e.args[0] if e.args else str(e)) from None
 
 
+def _is_file(source: str) -> bool:
+    path = Path(source)
+    return path.suffix == ".json" or path.exists()
+
+
 def _load_finite(source: str):
     """Resolve an input to (FiniteSemiring, optional order): a JSON path or
     a gallery name with a finite carrier.  An order supplied in the JSON
     must be compatible with the tables."""
-    path = Path(source)
-    if path.suffix == ".json" or path.exists():
+    if _is_file(source):
         try:
-            s, order = semiring_from_json(path.read_text(encoding="utf-8"))
+            s, order = semiring_from_json(Path(source).read_text(encoding="utf-8"))
         except OSError as e:
             raise InputError(f"cannot read {source}: {e}") from None
         except StructureError as e:
@@ -77,22 +83,41 @@ def _load_finite(source: str):
     raise InputError(f"{source} has an infinite carrier; this command needs tables")
 
 
+def _load_semiring(source: str):
+    """_load_finite for the commands that need a semiring: tables read from
+    a file must satisfy the laws.  Gallery members are semirings by
+    construction."""
+    s, order = _load_finite(source)
+    if _is_file(source):
+        report = check_semiring_axioms(s)
+        if not report.passed:
+            raise InputError(f"{source} is not a semiring: {report.law_names()}")
+    return s, order
+
+
 def _load_sigma(source: str) -> SigmaSemiring:
     """Resolve an input to a SigmaSemiring: a gallery name, adjoin-inf:<file>,
-    or a JSON path (orderable tables get their completion Sigma)."""
+    or a JSON path (orderable tables get their completion Sigma, which the
+    command itself then tests; certifying it is `complete`'s job)."""
     if source.startswith("adjoin-inf:"):
-        inner, _ = _load_finite(source[len("adjoin-inf:"):])
-        return adjoin_infinity(inner)
-    path = Path(source)
-    if path.suffix == ".json" or path.exists():
-        s, order = _load_finite(source)
+        inner_source = source[len("adjoin-inf:"):]
+        inner, _ = _load_semiring(inner_source)
         try:
-            return completion_of_finite(s, order).semiring
+            return adjoin_infinity(inner)
+        except ZeroSumError as e:
+            a, b = e.witness
+            raise InputError(f"{inner_source} is not zero-sum-free: "
+                             f"{inner.label(a)}+{inner.label(b)} = "
+                             f"{inner.label(inner.zero)}") from None
+    if _is_file(source):
+        s, order = _load_semiring(source)
+        try:
+            return completion_semiring(s, order)
         except NotOrderableError as e:
             raise InputError(f"{source}: {e}") from None
     member = _gallery_member(source)
     if isinstance(member, FiniteSemiring):
-        return completion_of_finite(member).semiring
+        return completion_semiring(member)
     if not member.has_sigma:
         raise InputError(f"{source} carries no infinite-sum operator; "
                          f"try 'complete {source}'")
@@ -196,7 +221,7 @@ def cmd_complete(cfg: RunConfig) -> int:
         }
         _emit(cfg, payload)
         return 0
-    s, order = _load_finite(source)
+    s, order = _load_semiring(source)
     try:
         result = completion_of_finite(s, order, seed=cfg.seed,
                                       families=max(60, cfg.families // 4),
@@ -279,10 +304,7 @@ def cmd_finitary(cfg: RunConfig) -> int:
 
 def cmd_congruence(cfg: RunConfig) -> int:
     source, left, right = cfg.inputs
-    s, order = _load_finite(source)
-    report = check_semiring_axioms(s)
-    if not report.passed:
-        raise InputError(f"{source} is not a semiring: {report.law_names()}")
+    s, order = _load_semiring(source)
     orderable, wit = is_orderable(s)
     if not orderable:
         _emit(cfg, {"command": "congruence", "input": source, "orderable": False,

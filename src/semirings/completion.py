@@ -195,6 +195,22 @@ def _sup_sigma(s: FiniteSemiring, o: PartialOrder):
     return sigma_fn
 
 
+def completion_semiring(s: FiniteSemiring,
+                        o: PartialOrder | None = None) -> SigmaSemiring:
+    """The completion's carrier with the induced Sigma, uncertified: refuses
+    a carrier that is not orderable or an order that is not compatible."""
+    orderable, witness = is_orderable(s)
+    if not orderable:
+        raise NotOrderableError(witness)
+    if o is None:
+        o = witness
+    else:
+        rep = check_ordered_semiring(s, o)
+        if not rep.passed:
+            raise EmbeddingError(f"supplied order is not compatible: {rep.violations}")
+    return SigmaSemiring.from_finite("completion", s, _sup_sigma(s, o), o)
+
+
 def completion_of_finite(s: FiniteSemiring, o: PartialOrder | None = None,
                          seed: int = 0, families: int = 120,
                          sequences: int = 60) -> CompletionResult:
@@ -205,16 +221,7 @@ def completion_of_finite(s: FiniteSemiring, o: PartialOrder | None = None,
     full Sigma-axiom, discrete-convergence and finitary batteries.  The
     finitary battery is also the uniqueness check: a finitary Sigma is the
     sup of the finite subsums, so the order admits no other one."""
-    orderable, witness = is_orderable(s)
-    if not orderable:
-        raise NotOrderableError(witness)
-    if o is None:
-        o = witness
-    else:
-        rep = check_ordered_semiring(s, o)
-        if not rep.passed:
-            raise EmbeddingError(f"supplied order is not compatible: {rep.violations}")
-    comp = SigmaSemiring.from_finite("completion", s, _sup_sigma(s, o), o)
+    comp = completion_semiring(s, o)
     axioms = check_sigma_axioms(comp, seed, families)
     ok_d, wd = is_d_complete(comp, omega_sequence_battery(comp, seed, sequences))
     ok_f, wf = is_finitary(comp, family_battery(comp, seed, families))

@@ -4,17 +4,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from semirings.cardinal import (ALEPH0, CardinalFamily, FIN0, FIN1,
-                                MissingOrderError, OmegaSequence,
-                                SigmaSemiring, UNCOUNTABLE, card_add, card_mul,
+                                CharacteristicCardinality, MissingOrderError,
+                                OmegaSequence, SigmaSemiring, UNCOUNTABLE,
+                                card_add, card_mul, card_sum,
                                 characteristic_cardinality, check_sigma_axioms,
                                 eventually_constant_sum, family_battery,
                                 family_sup, fin, finite_subsums, is_d_complete,
                                 is_finitary, nfold, omega_sequence_battery,
                                 parse_cardinal, sup_in_order)
-from semirings.completion import completion_of_finite
-from semirings.core import PartialOrder
+from semirings.completion import completion_of_finite, completion_semiring
+from semirings.core import (InternalConsistencyError, PartialOrder,
+                            enumerate_semirings, is_orderable, is_zero_sum_free)
 from semirings.gallery import (NINF_INF, adjoin_infinity, boolean, four_valued,
-                               nat_infinity, ninf, omega_fin,
+                               language_semiring, nat_infinity, ninf, omega_fin,
                                omega_plus_reverse, powerset_semiring,
                                three_valued)
 
@@ -343,6 +345,110 @@ def test_characteristic_boolean_completion():
 def test_characteristic_omega_minus():
     lam = characteristic_cardinality(omega_plus_reverse())
     assert lam.lambda1 == ALEPH0
+
+
+def _characteristic_oracle(c):
+    """The scan as it was written over Cardinal values: every subfamily of
+    every family over one or two sample keys, sized with card_sum.  Kept as
+    the oracle for the scan on ladder positions."""
+    ladder = [fin(k) for k in range(4)] + [ALEPH0, UNCOUNTABLE]
+    ones = [c.sigma(CardinalFamily({c.one: k})) for k in ladder]
+    i = len(ones) - 1
+    while i > 0 and ones[i - 1] == ones[-1]:
+        i -= 1
+    lambda1 = ladder[i]
+    cur, fixed = c.zero, False
+    for _ in range(4):
+        nxt = c.plus(cur, c.one)
+        if nxt == cur:
+            fixed = True
+            break
+        cur = nxt
+
+    def subfamilies(mults):
+        per_key = []
+        for m in mults:
+            opts = [fin(j) for j in range(min(m.n, 3) + 1 if m.is_finite else 4)]
+            opts += [k for k in (ALEPH0, UNCOUNTABLE) if k <= m]
+            per_key.append(opts)
+        return itertools.product(*per_key)
+
+    def sigma(support, mults):
+        return c.sigma(CardinalFamily(zip(support, mults)))
+
+    sample = c.sample(6)
+    supports = [(v,) for v in sample]
+    supports += [(u, v) for i, u in enumerate(sample) for v in sample[i + 1:]]
+    worst = FIN0
+    for support in supports:
+        for mults in itertools.product(ladder[1:], repeat=len(support)):
+            target = sigma(support, mults)
+            best = min(card_sum(sub) for sub in subfamilies(mults)
+                       if sigma(support, sub) == target)
+            worst = max(worst, best)
+    return CharacteristicCardinality(lambda1, worst, not fixed)
+
+
+def _small_tables():
+    return [s for n in (1, 2, 3) for s in enumerate_semirings(n)]
+
+
+def _oracle_carriers():
+    gallery = [nat_infinity(), powerset_semiring("abc"), language_semiring("a", 2),
+               three_valued(), four_valued(), omega_plus_reverse(),
+               adjoin_infinity(boolean())]
+    adjoined = [adjoin_infinity(s) for s in _small_tables() if is_zero_sum_free(s)[0]]
+    completed = [completion_semiring(s) for s in _small_tables() if is_orderable(s)[0]]
+    assert (len(gallery), len(adjoined), len(completed)) == (7, 7, 6)
+    return gallery + adjoined + completed
+
+
+def test_characteristic_scan_matches_the_cardinal_oracle():
+    for c in _oracle_carriers():
+        assert characteristic_cardinality(c) == _characteristic_oracle(c), c.name
+
+
+def _capped_pairs():
+    """Pairs over {0..3} with coordinatewise saturating addition, sampled
+    at (1, 0) and (0, 1): Sigma of three copies of each is (3, 3), which no
+    smaller subfamily reaches, and every infinite family sums like three
+    copies.  So the worst case is the finite size 6."""
+    def plus(x, y):
+        return (min(x[0] + y[0], 3), min(x[1] + y[1], 3))
+
+    def sigma(f):
+        acc = (0, 0)
+        for v, m in f.items():
+            k = m.n if m.is_finite else 3
+            acc = plus(acc, (min(v[0] * k, 3), min(v[1] * k, 3)))
+        return acc
+
+    return SigmaSemiring(
+        "capped-pairs", zero=(0, 0), one=(1, 1), plus=plus,
+        times=lambda x, y: (min(x[0] * y[0], 3), min(x[1] * y[1], 3)),
+        sigma_fn=sigma, sample=lambda k: [(1, 0), (0, 1)],
+        contains=lambda v: v in {(i, j) for i in range(4) for j in range(4)})
+
+
+def test_characteristic_worst_case_of_finite_size_six():
+    c = _capped_pairs()
+    lam = characteristic_cardinality(c)
+    assert lam == CharacteristicCardinality(fin(3), fin(6), False)
+    assert lam == _characteristic_oracle(c)
+
+
+def test_characteristic_planted_sigma_breaks_the_lambda_bound():
+    # infinitely many zeros summing to one: the family {0: aleph0} needs
+    # all of its aleph0 copies, above max(lambda1, carrier size) = fin:2
+    s = boolean()
+    _, o = is_orderable(s)
+
+    def planted(f):
+        return s.one if f.keys() and (s.one in f.keys() or not f.all_finite()) else s.zero
+
+    c = SigmaSemiring.from_finite("planted", s, planted, o)
+    with pytest.raises(InternalConsistencyError, match="lambdaS bound violated"):
+        characteristic_cardinality(c)
 
 
 # -- JSON interfaces ------------------------------------------------------------

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -5,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from semirings import cli
-from semirings.core import (enumerate_semirings, is_orderable, natural_quasiorder,
-                            semiring_to_json)
+from semirings import cli, completion
+from semirings.core import (enumerate_semirings, is_orderable, is_zero_sum_free,
+                            natural_quasiorder, semiring_to_json)
 from semirings.gallery import boolean, xor_semiring
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -292,3 +294,80 @@ def test_printed_natural_quasiorder_on_every_small_table(tmp_path, capsys):
         for command in ("check", "order"):
             cli.main([command, str(path), "--format", "json"])
             assert json.loads(capsys.readouterr().out)["natural-quasiorder"] == want
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("command, certified", [("complete", 1), ("dcomplete", 0),
+                                                ("finitary", 0)])
+def test_only_complete_certifies_the_completion(tmp_path, monkeypatch, capsys,
+                                                command, certified):
+    calls = _counting(monkeypatch, completion, "check_sigma_axioms")
+    assert cli.main([command, str(write_boolean(tmp_path)), "--battery", "60"]) == 0
+    assert len(calls) == certified
+
+
+def sigma_command_transcript(workdir: Path) -> str:
+    """dcomplete and finitary on every table of size <= 3 and on xor, as
+    plain tables, with their natural order, and with infinity adjoined:
+    one header line with the exit code per run, then its stdout."""
+    tables = [s for n in (1, 2, 3) for s in enumerate_semirings(n)] + [xor_semiring()]
+    inputs = []
+    for i, s in enumerate(tables):
+        orderable, order = is_orderable(s)
+        (workdir / f"t{i}.json").write_text(semiring_to_json(s), encoding="utf-8")
+        inputs.append(f"t{i}.json")
+        if orderable:
+            (workdir / f"t{i}-ordered.json").write_text(semiring_to_json(s, order),
+                                                        encoding="utf-8")
+            inputs.append(f"t{i}-ordered.json")
+        if is_zero_sum_free(s)[0]:
+            inputs.append(f"adjoin-inf:t{i}.json")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        for source in inputs:
+            for command in ("dcomplete", "finitary"):
+                print(f"$ {command} {source} --battery 60")
+                print(f"exit {cli.main([command, source, '--battery', '60'])}")
+    return out.getvalue()
+
+
+def test_sigma_commands_on_every_small_table_match_golden(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    want = (GOLDEN / "sigma_commands_small_tables.txt").read_text(encoding="utf-8")
+    assert sigma_command_transcript(tmp_path) == want
+
+
+NOT_A_SEMIRING = {"elements": ["0", "1"], "zero": 0, "one": 1,
+                  "add": [[0, 1], [0, 0]], "mul": [[0, 0], [0, 1]]}
+
+
+@pytest.mark.parametrize("argv", [["complete"], ["dcomplete"], ["finitary"],
+                                  ["congruence", "1*[1]", "1*[0]"]])
+def test_table_breaking_the_laws_exits_two(tmp_path, capsys, argv):
+    path = tmp_path / "not-a-semiring.json"
+    path.write_text(json.dumps(NOT_A_SEMIRING), encoding="utf-8")
+    assert cli.main([argv[0], str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {path} is not a semiring: ['add-associativity', "
+                            f"'add-commutativity', 'add-identity']\n")
+
+
+@pytest.mark.parametrize("command", ["dcomplete", "finitary"])
+def test_adjoin_inf_to_a_zero_sum_table_exits_two(tmp_path, capsys, command):
+    path = write_xor(tmp_path)
+    assert cli.main([command, f"adjoin-inf:{path}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path} is not zero-sum-free: 1+1 = 0\n"
