@@ -494,14 +494,24 @@ def gallery_semiring(name: str):
     if name == "omega-minus":
         return omega_plus_reverse()
     if name.startswith("powerset:"):
-        k = int(name.split(":", 1)[1])
+        (k,) = _name_params(name, "powerset:K, K in 0..4")
         if not 0 <= k <= 4:
-            raise ValueError("powerset universe size must be 0..4")
+            raise ValueError(f"{name}: powerset universe size must be 0..4")
         return powerset_semiring(_LETTERS[:k])
     if name.startswith("lang:"):
-        _, k, ell = name.split(":")
-        k, ell = int(k), int(ell)
+        k, ell = _name_params(name, "lang:K:L, K in 1..3")
         if not 1 <= k <= 3:
-            raise ValueError("language alphabet size must be 1..3")
-        return language_semiring(_LETTERS[:k], ell)
+            raise ValueError(f"{name}: language alphabet size must be 1..3")
+        try:
+            return language_semiring(_LETTERS[:k], ell)
+        except ValueError as e:
+            raise ValueError(f"{name}: {e}") from None
     raise KeyError(f"unknown gallery name {name!r}")
+
+
+def _name_params(name: str, form: str):
+    """The integer parameters of a gallery name, one per colon in `form`."""
+    params = name.split(":")[1:]
+    if len(params) != form.count(":") or not all(p.isdecimal() for p in params):
+        raise ValueError(f"malformed gallery name {name!r}: expected {form}")
+    return [int(p) for p in params]

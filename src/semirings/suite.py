@@ -8,6 +8,7 @@ report (that is itself the last criterion)."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import gallery
@@ -40,16 +41,22 @@ class CriterionResult:
     detail: str
 
 
-def _sigma_members():
-    return [
-        gallery.nat_infinity(),
-        gallery.powerset_semiring("abc"),
-        gallery.language_semiring("a", 2),
-        gallery.three_valued(),
-        gallery.four_valued(),
-        gallery.omega_plus_reverse(),
-        adjoin_infinity(boolean()),
-    ]
+class _Pass:
+    """What one suite pass shares: one list of the Sigma members, and the
+    classifications, keyed by member object and cfg (not by name: criterion
+    5 adjoins infinity to five tables, all named adjoin-inf:3)."""
+
+    def __init__(self):
+        self.members = [
+            gallery.nat_infinity(),
+            gallery.powerset_semiring("abc"),
+            gallery.language_semiring("a", 2),
+            gallery.three_valued(),
+            gallery.four_valued(),
+            gallery.omega_plus_reverse(),
+            adjoin_infinity(boolean()),
+        ]
+        self.classify = functools.cache(_classify)
 
 
 def _size3_semirings():
@@ -61,14 +68,14 @@ def _size3_semirings():
 
 # --- criterion 1 -----------------------------------------------------------
 
-def criterion_semiring_laws(cfg: SuiteConfig) -> CriterionResult:
+def criterion_semiring_laws(cfg: SuiteConfig, ctx=None) -> CriterionResult:
     bad = []
     counts = {1: 0, 2: 0, 3: 0}
     for s in _size3_semirings():
         counts[s.n] += 1
         if not check_semiring_axioms(s).passed:
             bad.append(f"enumerated n={s.n}")
-    for member in _sigma_members():
+    for member in (ctx or _Pass()).members:
         if member.is_finite:
             if not check_semiring_axioms(member.base).passed:
                 bad.append(member.name)
@@ -85,7 +92,7 @@ def criterion_semiring_laws(cfg: SuiteConfig) -> CriterionResult:
 _SIZE4_SAMPLES = 200
 
 
-def criterion_orderability(cfg: SuiteConfig) -> CriterionResult:
+def criterion_orderability(cfg: SuiteConfig, ctx=None) -> CriterionResult:
     disagreements = []
     small = 0
     for s in _size3_semirings():
@@ -111,9 +118,9 @@ def criterion_orderability(cfg: SuiteConfig) -> CriterionResult:
 
 # --- criterion 3 -----------------------------------------------------------
 
-def criterion_sigma_axioms(cfg: SuiteConfig) -> CriterionResult:
+def criterion_sigma_axioms(cfg: SuiteConfig, ctx=None) -> CriterionResult:
     failures = []
-    for member in _sigma_members():
+    for member in (ctx or _Pass()).members:
         rep = sigma_axiom_battery(member, cfg.seed, cfg.families)
         if not rep.passed:
             failures.append(f"{member.name}: {rep.law_names()}")
@@ -136,17 +143,18 @@ def _classify(member, cfg: SuiteConfig):
     return d_ok, d_wit, f_ok, f_wit, lam
 
 
-def criterion_classification(cfg: SuiteConfig) -> CriterionResult:
+def criterion_classification(cfg: SuiteConfig, ctx=None) -> CriterionResult:
+    ctx = ctx or _Pass()
     problems = []
-    members = {m.name: m for m in _sigma_members()}
+    members = {m.name: m for m in ctx.members}
 
     for name in ("nat-infinity", "powerset:3", "lang:1:2"):
-        d_ok, _, f_ok, _, _ = _classify(members[name], cfg)
+        d_ok, _, f_ok, _, _ = ctx.classify(members[name], cfg)
         if not (d_ok and f_ok):
             problems.append(f"{name} should be finitary and d-complete")
 
     three = members["three-valued"]
-    d_ok, d_wit, _, _, _ = _classify(three, cfg)
+    d_ok, d_wit, _, _, _ = ctx.classify(three, cfg)
     if d_ok:
         problems.append("three-valued should fail d-completeness")
     else:
@@ -156,7 +164,7 @@ def criterion_classification(cfg: SuiteConfig) -> CriterionResult:
                             f"the constant 'finite' sequence")
 
     four = members["four-valued"]
-    d_ok, _, f_ok, f_wit, lam = _classify(four, cfg)
+    d_ok, _, f_ok, f_wit, lam = ctx.classify(four, cfg)
     if not d_ok:
         problems.append("four-valued should be d-complete")
     if f_ok:
@@ -165,7 +173,7 @@ def criterion_classification(cfg: SuiteConfig) -> CriterionResult:
         problems.append(f"four-valued lambda1 is {lam.lambda1!r}, expected uncountable")
 
     omega = members["omega-minus"]
-    d_ok, _, f_ok, f_wit, lam = _classify(omega, cfg)
+    d_ok, _, f_ok, f_wit, lam = ctx.classify(omega, cfg)
     if not d_ok:
         problems.append("omega-minus should be d-complete")
     if lam.lambda1 != ALEPH0:
@@ -182,8 +190,9 @@ def criterion_classification(cfg: SuiteConfig) -> CriterionResult:
 
 # --- criterion 5 -----------------------------------------------------------
 
-def criterion_fact_implications(cfg: SuiteConfig) -> CriterionResult:
-    members = list(_sigma_members())
+def criterion_fact_implications(cfg: SuiteConfig, ctx=None) -> CriterionResult:
+    ctx = ctx or _Pass()
+    members = list(ctx.members)
     extra = 0
     for s in _size3_semirings():
         if s.n == 3 and is_zero_sum_free(s)[0] and extra < 15:
@@ -191,7 +200,7 @@ def criterion_fact_implications(cfg: SuiteConfig) -> CriterionResult:
             extra += 1
     counterexamples = []
     for m in members:
-        d_ok, _, f_ok, _, lam = _classify(m, cfg)
+        d_ok, _, f_ok, _, lam = ctx.classify(m, cfg)
         if m.is_finite:
             orderable = is_orderable(m.base)[0]
         else:
@@ -260,7 +269,7 @@ def _collapse_holds_exhaustively(s: FiniteSemiring, o) -> tuple[bool, int]:
     return True, len(universe)
 
 
-def criterion_main_theorem(cfg: SuiteConfig) -> CriterionResult:
+def criterion_main_theorem(cfg: SuiteConfig, ctx=None) -> CriterionResult:
     problems = []
     ordered = 0
     for s in _size3_semirings():
@@ -288,7 +297,7 @@ def criterion_main_theorem(cfg: SuiteConfig) -> CriterionResult:
 
 # --- criterion 7 -----------------------------------------------------------
 
-def criterion_adjunction_caveat(cfg: SuiteConfig) -> CriterionResult:
+def criterion_adjunction_caveat(cfg: SuiteConfig, ctx=None) -> CriterionResult:
     problems = []
     pool = [s for s in enumerate_semirings(3) if is_zero_sum_free(s)[0]]
     with_divisors = [s for s in pool
@@ -323,7 +332,7 @@ def criterion_adjunction_caveat(cfg: SuiteConfig) -> CriterionResult:
 
 # --- criterion 8 -----------------------------------------------------------
 
-def criterion_negative_result(cfg: SuiteConfig) -> CriterionResult:
+def criterion_negative_result(cfg: SuiteConfig, ctx=None) -> CriterionResult:
     record = no_universal_complete_demo()
     problems = []
     if record.lambda1_nat_infinity != ALEPH0:
@@ -356,7 +365,8 @@ _CRITERIA = (
 
 
 def run_criteria(cfg: SuiteConfig):
-    return [fn(cfg) for fn in _CRITERIA]
+    ctx = _Pass()
+    return [fn(cfg, ctx) for fn in _CRITERIA]
 
 
 def format_report(results, cfg: SuiteConfig) -> str:
@@ -369,8 +379,8 @@ def format_report(results, cfg: SuiteConfig) -> str:
 
 
 def run_selftest(cfg: SuiteConfig) -> tuple[int, str]:
-    """Run the suite twice; the determinism criterion compares the two
-    reports byte for byte."""
+    """Run the suite twice, each pass with its own _Pass; the determinism
+    criterion compares the two reports byte for byte."""
     results = run_criteria(cfg)
     first = format_report(results, cfg)
     second = format_report(run_criteria(cfg), cfg)

@@ -1,9 +1,11 @@
 import itertools
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semirings.cardinal import (ALEPH0, CardinalFamily, FIN0, FIN1,
+from semirings.cardinal import (ALEPH0, Cardinal, CardinalFamily, FIN0, FIN1,
                                 CharacteristicCardinality, MissingOrderError,
                                 OmegaSequence, SigmaSemiring, UNCOUNTABLE,
                                 card_add, card_mul, card_sum,
@@ -71,6 +73,37 @@ def test_family_is_canonical_under_insertion_order_and_merging():
         assert list(f.items()) == [(ninf(0), UNCOUNTABLE), (ninf(3), fin(3)),
                                    (NINF_INF, ALEPH0)]
     assert merged.keys() == [ninf(0), ninf(3), NINF_INF]
+
+
+def _family_items_oracle(mult):
+    """The family constructor before the fin:0 test and the sort key were
+    made cheaper."""
+    items = mult.items() if hasattr(mult, "items") else mult
+    d = {}
+    for v, c in items:
+        if not isinstance(c, Cardinal):
+            raise TypeError(f"multiplicity must be a Cardinal, got {c!r}")
+        if c == FIN0:
+            continue
+        d[v] = card_add(d[v], c) if v in d else c
+    return tuple(sorted(d.items(), key=lambda kv: kv[0]))
+
+
+def test_family_constructor_matches_the_oracle():
+    rng = random.Random(6)
+    # Cardinal(0) is a fresh fin:0, not the FIN0 singleton
+    mults = [Cardinal(0), Cardinal(0, 0), fin(0), fin(1), fin(2), fin(3),
+             Cardinal(1), ALEPH0, Cardinal(2), UNCOUNTABLE]
+    for _ in range(2000):
+        pairs = [(rng.randrange(5), rng.choice(mults))
+                 for _ in range(rng.randrange(8))]
+        assert CardinalFamily(pairs).items() == _family_items_oracle(pairs)
+        assert CardinalFamily(dict(pairs)).items() == _family_items_oracle(dict(pairs))
+    for bad in (2, "fin:1"):
+        with pytest.raises(TypeError):
+            CardinalFamily([(0, FIN1), (1, bad)])
+        with pytest.raises(TypeError):
+            _family_items_oracle([(0, FIN1), (1, bad)])
 
 
 @given(st.lists(st.integers(min_value=0, max_value=4), max_size=9),
@@ -314,6 +347,35 @@ def test_sigma_axioms_keep_first_witness_per_law():
         ("sigma-distributivity-right", (1, family, 1, 3)),
         ("sigma-zero", (ALEPH0, 3)),
     )
+
+
+def test_battery_sums_each_distinct_family_once(monkeypatch):
+    calls = Counter()
+    real = SigmaSemiring.sigma
+
+    def spy(self, f):
+        calls[f] += 1
+        return real(self, f)
+
+    monkeypatch.setattr(SigmaSemiring, "sigma", spy)
+    for c in (nat_infinity(), powerset_semiring("ab"), adjoin_infinity(boolean())):
+        calls.clear()
+        assert check_sigma_axioms(c, seed=4, families=120).passed
+        assert calls and set(calls.values()) == {1}
+
+
+def test_battery_still_cross_checks_the_fold():
+    # Sigma disagrees with the finite fold on the pair family {1, 1} only
+    s = boolean()
+    _, o = is_orderable(s)
+    pair = CardinalFamily({s.one: fin(2)})
+
+    def planted(f):
+        return s.one if s.one in f.keys() and f != pair else s.zero
+
+    c = SigmaSemiring.from_finite("planted", s, planted, o)
+    with pytest.raises(InternalConsistencyError, match="disagrees with the finite fold"):
+        check_sigma_axioms(c, seed=0, families=10)
 
 
 def test_battery_config_validation():

@@ -221,11 +221,15 @@ def test_selftest_matches_golden(capsys, seed, battery):
     assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("name", ["nope", "powerset:x", "lang:3:3"])
+@pytest.mark.parametrize("name", ["nope", "powerset:x", "lang:3:3", "powerset:",
+                                  "lang:2", "lang:x:2", "lang:2:y"])
 def test_gallery_bad_name_exits_two(capsys, name):
     assert cli.main(["gallery", name]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert name in err
+    if name not in ("nope", "lang:3:3"):
+        assert "expected " + name.split(":")[0] + ":K" in err
 
 
 def test_gallery_member_without_sigma(capsys):
