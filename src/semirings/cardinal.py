@@ -28,7 +28,7 @@ class MissingOrderError(ValueError):
 
 
 class SubsumLimitError(ValueError):
-    """A finite multiplicity is too large to enumerate its multiples."""
+    """A multiplicity has too many multiples to enumerate."""
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +72,7 @@ def parse_cardinal(text: str) -> Cardinal:
         return ALEPH0
     if text == "uncountable":
         return UNCOUNTABLE
-    if text.startswith("fin:"):
+    if isinstance(text, str) and text.startswith("fin:"):
         return fin(int(text[4:]))
     raise ValueError(f"unknown cardinal {text!r}")
 
@@ -249,15 +249,17 @@ class SigmaSemiring:
     - fin_chain_plus(b): the eventual value of (large finite chain) + b,
       or None when the sum stays a growing finite chain,
     - fin_chain_sup: least element dominating the whole finite chain, or
-      None when the upper bounds have no least member,
-    - dominates_all_fin(v): v is an upper bound of every finite element.
+      None when the upper bounds have no least member.
+
+    The sup of a family's finite subsums is then its greatest finite subsum
+    (top_subsum); when some key's multiples climb forever it is
+    fin_chain_plus of that sum, else fin_chain_sup (family_sup).
     """
 
     def __init__(self, name, *, zero, one, plus, times, sigma_fn,
                  base=None, order=None, leq=None, sample=None, contains=None,
                  label=None, parse_label=None, multiples_unbounded=None,
-                 fin_chain_plus=None, fin_chain_sup=None,
-                 dominates_all_fin=None, carrier_bound=32):
+                 fin_chain_plus=None, fin_chain_sup=None, carrier_bound=32):
         self.name = name
         self.zero = zero
         self.one = one
@@ -274,7 +276,6 @@ class SigmaSemiring:
         self.multiples_unbounded = multiples_unbounded
         self.fin_chain_plus = fin_chain_plus
         self.fin_chain_sup = fin_chain_sup
-        self.dominates_all_fin = dominates_all_fin
         self.carrier_bound = carrier_bound
 
     @classmethod
@@ -303,14 +304,11 @@ class SigmaSemiring:
 
     @property
     def has_order(self) -> bool:
-        return self.order is not None or self._leq is not None
+        return self._leq is not None
 
     @property
     def has_sigma(self) -> bool:
         return self._sigma_fn is not None
-
-    def elements(self):
-        return list(range(self.base.n)) if self.is_finite else None
 
     def sample(self, k: int = 8):
         if self.is_finite:
@@ -323,8 +321,6 @@ class SigmaSemiring:
         return list(self._sample(k))
 
     def leq(self, a, b) -> bool:
-        if self.order is not None:
-            return self.order.leq(a, b)
         if self._leq is None:
             raise MissingOrderError(f"{self.name} carries no order")
         return self._leq(a, b)
@@ -338,6 +334,8 @@ class SigmaSemiring:
     def parse_label(self, text: str):
         if self._parse_label is None:
             raise ValueError(f"{self.name} has no label parser")
+        if not isinstance(text, str):
+            raise ValueError(f"element label must be a string, got {text!r}")
         return self._parse_label(text)
 
     def fold(self, f: CardinalFamily):
@@ -370,33 +368,30 @@ class SigmaSemiring:
 
 @dataclass(frozen=True)
 class SubsumSet:
-    """The set of finite subsums.  unbounded_fin marks that the true set
-    additionally contains finite elements of arbitrarily large size (only on
-    symbolic carriers)."""
+    """The set of finite subsums."""
 
     values: frozenset
-    unbounded_fin: bool = False
 
 
 _MULT_ENUM_LIMIT = 10_000
-_SYMBOLIC_WINDOW = 24
 
 
 def _multiples(c: SigmaSemiring, v, m: Cardinal):
-    """({k*v : 0 <= k <= m}, unbounded flag).  The loop stops at the first
-    repeated value: from there the orbit cycles, so the set is complete."""
-    unbounded = not m.is_finite and bool(c.multiples_unbounded(v))
-    limit = m.n if m.is_finite else (_SYMBOLIC_WINDOW if unbounded else None)
-    vals = {c.zero}
-    cur = c.zero
-    k = 0
-    while limit is None or k < limit:
-        cur = c.plus(cur, v)
-        if cur in vals:
-            return vals, False
-        vals.add(cur)
-        k += 1
-        if k > _MULT_ENUM_LIMIT:
+    """([0, v, 2v, ...] up to m*v in order, climbs).  The list ends at the
+    first repeated value: from there the orbit cycles, so the list holds
+    every multiple.  climbs marks an infinite multiplicity whose multiples
+    grow without bound; the list is then [0]."""
+    if not m.is_finite and c.multiples_unbounded(v):
+        return [c.zero], True
+    limit = m.n if m.is_finite else None
+    vals, seen = [c.zero], {c.zero}
+    while limit is None or len(vals) <= limit:
+        cur = c.plus(vals[-1], v)
+        vals.append(cur)
+        if cur in seen:
+            break
+        seen.add(cur)
+        if len(vals) > _MULT_ENUM_LIMIT + 1:
             # only reachable when the orbit never repeats: a symbolic carrier
             # with a huge finite multiplicity, or an undeclared infinite orbit
             if limit is None:
@@ -404,39 +399,41 @@ def _multiples(c: SigmaSemiring, v, m: Cardinal):
                     f"unbounded multiple orbit of {v!r} on {c.name} was not declared")
             raise SubsumLimitError(
                 f"multiplicity {m!r} of {v!r} too large for subsum enumeration")
-    return vals, unbounded
-
-
-def _sumset(c: SigmaSemiring, avals, aunb, bvals, bunb):
-    vals = {c.plus(a, b) for a in avals for b in bvals}
-    unb = aunb and bunb
-    if aunb:
-        for b in bvals:
-            e = c.fin_chain_plus(b)
-            if e is None:
-                unb = True
-            else:
-                vals.add(e)
-    if bunb:
-        for a in avals:
-            e = c.fin_chain_plus(a)
-            if e is None:
-                unb = True
-            else:
-                vals.add(e)
-    return vals, unb
+    return vals, False
 
 
 def finite_subsums(c: SigmaSemiring, f: CardinalFamily) -> SubsumSet:
     """All values add-reachable using at most the multiplicity of each key.
 
     Grouping the picks key by key is exact because addition is commutative,
-    so the set is the product-fold of the per-key multiple sets."""
-    vals, unb = {c.zero}, False
+    so the set is the product-fold of the per-key multiple sets.  A family
+    with a key whose multiples climb forever has no finite set: refused."""
+    vals = {c.zero}
     for v, m in f.items():
-        mv, mu = _multiples(c, v, m)
-        vals, unb = _sumset(c, vals, unb, mv, mu)
-    return SubsumSet(frozenset(vals), unb)
+        mults, climbs = _multiples(c, v, m)
+        if climbs:
+            raise SubsumLimitError(f"the multiples of {v!r} on {c.name} grow without bound")
+        vals = {c.plus(a, b) for a in vals for b in mults}
+    return SubsumSet(frozenset(vals))
+
+
+def top_subsum(c: SigmaSemiring, f: CardinalFamily):
+    """(greatest finite subsum, climbs): the sum of each key's last multiple.
+
+    Under an order with zero least and monotone addition the multiples of a
+    key climb, so the last one dominates the others and the sum dominates
+    every subsum; a step that does not climb is an internal error.  climbs
+    marks a key whose multiples climb forever; it adds 0 to the sum."""
+    top, climbs = c.zero, False
+    for v, m in f.items():
+        mults, up = _multiples(c, v, m)
+        for a, b in zip(mults, mults[1:]):
+            if not c.leq(a, b):
+                raise InternalConsistencyError(
+                    f"multiples of {v!r} on {c.name} do not climb: {a!r} then {b!r}")
+        top = c.plus(top, mults[-1])
+        climbs = climbs or up
+    return top, climbs
 
 
 @dataclass(frozen=True)
@@ -458,28 +455,26 @@ def sup_in_order(o: PartialOrder, xs) -> SupResult:
     return SupResult("no-least")
 
 
-def family_sup(c: SigmaSemiring, ss: SubsumSet) -> SupResult:
-    """Sup of a subsum set; symbolic carriers get the chain analysis."""
+def family_sup(c: SigmaSemiring, f: CardinalFamily) -> SupResult:
+    """Sup of the finite subsums of f.  A finite carrier reads it off the
+    exact subsum set, independently of top_subsum.  A symbolic chain takes
+    the greatest subsum; when some key's multiples climb forever, the sup is
+    fin_chain_plus of it, else fin_chain_sup."""
     if c.is_finite:
         if c.order is None:
             raise MissingOrderError(f"{c.name} carries no order")
-        return sup_in_order(c.order, ss.values)
-    mx = None
-    for v in ss.values:
-        if mx is None or c.leq(mx, v):
-            mx = v
-    if any(not c.leq(v, mx) for v in ss.values):
-        raise InternalConsistencyError(f"{c.name} sample is not a chain")
-    if not ss.unbounded_fin:
-        return SupResult("exists", mx)
-    if c.dominates_all_fin(mx):
-        return SupResult("exists", mx)
-    top = c.fin_chain_sup
-    if top is None:
+        return sup_in_order(c.order, finite_subsums(c, f).values)
+    top, climbs = top_subsum(c, f)
+    if not climbs:
+        return SupResult("exists", top)
+    end = c.fin_chain_plus(top)
+    if end is not None:
+        return SupResult("exists", end)
+    if c.fin_chain_sup is None:
         return SupResult("no-least")
-    if not c.leq(mx, top):
+    if not c.leq(top, c.fin_chain_sup):
         raise InternalConsistencyError(f"{c.name}: declared chain sup is not maximal")
-    return SupResult("exists", top)
+    return SupResult("exists", c.fin_chain_sup)
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +558,7 @@ def is_finitary(c: SigmaSemiring, fams):
         raise MissingOrderError(f"{c.name} carries no order")
     for f in fams:
         sig = c.sigma(f)
-        sup = family_sup(c, finite_subsums(c, f))
+        sup = family_sup(c, f)
         if sup.status != "exists":
             return False, FinitaryWitness(f, "sup-missing", sig, None, sup.status)
         if sup.value != sig:

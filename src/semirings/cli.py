@@ -36,7 +36,6 @@ class RunConfig:
     families: int = 500
     sequences: int = 200
     triples: int = 300
-    cap: int = 3
     fmt: str = "human"
 
 
@@ -58,15 +57,20 @@ def _is_file(source: str) -> bool:
     return path.suffix == ".json" or path.exists()
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise InputError(f"cannot read {path}: {e}") from None
+
+
 def _load_finite(source: str):
     """Resolve an input to (FiniteSemiring, optional order): a JSON path or
     a gallery name with a finite carrier.  An order supplied in the JSON
     must be compatible with the tables."""
     if _is_file(source):
         try:
-            s, order = semiring_from_json(Path(source).read_text(encoding="utf-8"))
-        except OSError as e:
-            raise InputError(f"cannot read {source}: {e}") from None
+            s, order = semiring_from_json(_read_text(source))
         except StructureError as e:
             raise InputError(f"{source}: {e}") from None
         if order is not None:
@@ -248,20 +252,13 @@ def cmd_complete(cfg: RunConfig) -> int:
     return 0 if result.finitary_report.passed else 1
 
 
-def _read_lines(path: str):
-    try:
-        return Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as e:
-        raise InputError(f"cannot read {path}: {e}") from None
-
-
 def cmd_dcomplete(cfg: RunConfig) -> int:
     c = _load_sigma(cfg.inputs[0])
     seqs = omega_sequence_battery(c, cfg.seed, cfg.sequences)
     if len(cfg.inputs) > 1:
         # one {"prefix": [...], "cycle": [...]} document per line
         seqs = [omega_sequence_from_json(c, line)
-                for line in _read_lines(cfg.inputs[1]) if line.strip()]
+                for line in _read_text(cfg.inputs[1]).splitlines() if line.strip()]
     ok, witness = is_d_complete(c, seqs)
     payload = {"command": "dcomplete", "input": cfg.inputs[0],
                "d-complete": ok, "sequences": len(seqs)}
@@ -284,7 +281,7 @@ def cmd_finitary(cfg: RunConfig) -> int:
     if len(cfg.inputs) > 1:
         # one {"family": {...}} document per line
         fams = [family_from_json(c, line)
-                for line in _read_lines(cfg.inputs[1]) if line.strip()]
+                for line in _read_text(cfg.inputs[1]).splitlines() if line.strip()]
     try:
         ok, witness = is_finitary(c, fams)
     except SubsumLimitError as e:
@@ -316,7 +313,7 @@ def cmd_congruence(cfg: RunConfig) -> int:
         q = poly_from_text(right, s)
     except (ValueError, StructureError) as e:
         raise InputError(str(e)) from None
-    verdict = sim_verdict(p, q, s, order, cfg.cap)
+    verdict = sim_verdict(p, q, s, order)
     payload = {
         "command": "congruence",
         "input": source,
@@ -397,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--battery", type=int, default=None,
                         help="override the family battery size")
-    parser.add_argument("--cap", type=int, default=3)
     parser.add_argument("--format", choices=("human", "json"), default="human")
     return parser
 
@@ -419,7 +415,6 @@ def main(argv=None) -> int:
         families=args.battery if args.battery is not None else 500,
         sequences=max(40, (args.battery or 500) * 2 // 5),
         triples=max(40, (args.battery or 500) * 3 // 5),
-        cap=args.cap,
         fmt=args.format,
     )
     try:

@@ -13,8 +13,8 @@ from .core import (CheckReport, FiniteSemiring, InternalConsistencyError,
                    PartialOrder, check_ordered_semiring, is_orderable)
 from .cardinal import (ALEPH0, CardinalFamily, SigmaSemiring, UNCOUNTABLE,
                        characteristic_cardinality, check_sigma_axioms,
-                       family_battery, finite_subsums, is_d_complete,
-                       is_finitary, omega_sequence_battery)
+                       family_battery, is_d_complete, is_finitary,
+                       omega_sequence_battery, top_subsum)
 from .gallery import four_valued, nat_infinity
 from .series import (Polynomial, TruncatedSeries, enumerate_below,
                      enumerate_below_series, evaluate_phi)
@@ -179,20 +179,11 @@ class CompletionResult:
 
 
 def _sup_sigma(s: FiniteSemiring, o: PartialOrder):
-    """Sigma as the greatest finite subsum.  The subsum set of any family is
-    directed (pointwise maxima of two picks dominate both), and a finite
-    directed set has a greatest element, so this Sigma is total."""
+    """Sigma as the greatest finite subsum, the sum of each key's greatest
+    multiple.  On a finite carrier every orbit of multiples reaches a fixed
+    point, so this Sigma is total."""
     carrier = SigmaSemiring.from_finite("subsum-carrier", s, None, o)
-
-    def sigma_fn(f: CardinalFamily):
-        values = finite_subsums(carrier, f).values
-        for m in values:
-            if all(o.leq(v, m) for v in values):
-                return m
-        raise InternalConsistencyError(
-            f"finite subsum set of {f!r} has no greatest element")
-
-    return sigma_fn
+    return lambda f: top_subsum(carrier, f)[0]
 
 
 def completion_semiring(s: FiniteSemiring,

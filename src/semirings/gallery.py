@@ -104,7 +104,6 @@ def nat_infinity() -> SigmaSemiring:
         multiples_unbounded=lambda v: v.rank == 0 and v.n > 0,
         fin_chain_plus=lambda b: NINF_INF if b.rank else None,
         fin_chain_sup=NINF_INF,
-        dominates_all_fin=lambda v: v.rank == 1,
     )
 
 
@@ -126,7 +125,6 @@ def nat() -> SigmaSemiring:
         multiples_unbounded=lambda v: v.n > 0,
         fin_chain_plus=lambda b: None,
         fin_chain_sup=None,
-        dominates_all_fin=lambda v: False,
     )
 
 
@@ -385,7 +383,6 @@ def omega_plus_reverse() -> SigmaSemiring:
         multiples_unbounded=lambda v: v.rank == 0 and v.key > 0,
         fin_chain_plus=lambda b: None if b.rank == 0 else OMEGA_INF,
         fin_chain_sup=None,
-        dominates_all_fin=lambda v: v.rank >= 1,
     )
 
 

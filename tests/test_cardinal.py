@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from semirings.cardinal import (ALEPH0, Cardinal, CardinalFamily, FIN0, FIN1,
                                 CharacteristicCardinality, MissingOrderError,
-                                OmegaSequence, SigmaSemiring, UNCOUNTABLE,
+                                OmegaSequence, SigmaSemiring, SubsumLimitError,
+                                SupResult, UNCOUNTABLE,
                                 card_add, card_mul, card_sum,
                                 characteristic_cardinality, check_sigma_axioms,
                                 eventually_constant_sum, family_battery,
@@ -17,8 +18,9 @@ from semirings.cardinal import (ALEPH0, Cardinal, CardinalFamily, FIN0, FIN1,
 from semirings.completion import completion_of_finite, completion_semiring
 from semirings.core import (InternalConsistencyError, PartialOrder,
                             enumerate_semirings, is_orderable, is_zero_sum_free)
-from semirings.gallery import (NINF_INF, adjoin_infinity, boolean, four_valued,
-                               language_semiring, nat_infinity, ninf, omega_fin,
+from semirings.gallery import (NINF_INF, OMEGA_INF, adjoin_infinity, boolean,
+                               four_valued, language_semiring, nat_infinity,
+                               ninf, omega_fin, omega_inf_minus,
                                omega_plus_reverse, powerset_semiring,
                                three_valued)
 
@@ -188,7 +190,6 @@ def test_subsums_match_brute_force_on_finite_carriers():
     for c in members:
         for f in fams:
             got = finite_subsums(c, f)
-            assert not got.unbounded_fin
             assert got.values == frozenset(brute_subsums(c, f))
 
 
@@ -206,12 +207,12 @@ def test_subsums_boolean():
     assert finite_subsums(comp, CardinalFamily({1: FIN1})).values == frozenset({0, 1})
 
 
-def test_subsums_unbounded_flag_on_naturals():
-    c = nat_infinity()
-    ss = finite_subsums(c, CardinalFamily({ninf(1): ALEPH0}))
-    assert ss.unbounded_fin
-    for k in range(10):
-        assert ninf(k) in ss.values
+def test_subsums_refuse_multiples_that_climb_forever():
+    for c, v in ((nat_infinity(), ninf(1)), (omega_plus_reverse(), omega_fin(2))):
+        with pytest.raises(SubsumLimitError, match="grow without bound"):
+            finite_subsums(c, CardinalFamily({v: ALEPH0}))
+        assert finite_subsums(c, CardinalFamily({v: fin(3)})).values == frozenset(
+            nfold(c.plus, c.zero, v, k) for k in range(4))
 
 
 # -- suprema ------------------------------------------------------------------
@@ -239,11 +240,81 @@ def test_sup_upper_bounds_without_least():
 
 def test_symbolic_sup_of_growing_chain():
     c = nat_infinity()
-    ss = finite_subsums(c, CardinalFamily({ninf(1): ALEPH0}))
-    assert family_sup(c, ss).value == NINF_INF
+    assert family_sup(c, CardinalFamily({ninf(1): ALEPH0})).value == NINF_INF
+    assert family_sup(c, CardinalFamily({ninf(2): fin(3), ninf(0): ALEPH0})).value == ninf(6)
     o = omega_plus_reverse()
-    ss = finite_subsums(o, CardinalFamily({omega_fin(1): ALEPH0}))
-    assert family_sup(o, ss).status == "no-least"
+    assert family_sup(o, CardinalFamily({omega_fin(1): ALEPH0})).status == "no-least"
+    f = CardinalFamily({omega_fin(1): ALEPH0, omega_inf_minus(3): FIN1})
+    assert family_sup(o, f) == SupResult("exists", OMEGA_INF)
+    f = CardinalFamily({omega_fin(1): fin(2), omega_inf_minus(3): FIN1})
+    assert family_sup(o, f) == SupResult("exists", omega_inf_minus(1))
+
+
+_WINDOW = 24
+_DOMINATES_ALL_FIN = {"nat-infinity": lambda v: v.rank == 1,
+                      "omega-minus": lambda v: v.rank >= 1}
+
+
+def _windowed_multiples(c, v, m):
+    """({k*v : k <= m}, unbounded): a multiple set that grows forever is cut
+    to its first _WINDOW + 1 members and marked unbounded."""
+    unbounded = not m.is_finite and c.multiples_unbounded(v)
+    limit = m.n if m.is_finite else (_WINDOW if unbounded else 1000)
+    vals, cur = {c.zero}, c.zero
+    for _ in range(limit):
+        cur = c.plus(cur, v)
+        if cur in vals:
+            return vals, False
+        vals.add(cur)
+    return vals, unbounded
+
+
+def windowed_family_sup(c, f):
+    """The symbolic sup rule that crossed windowed multiple sets, kept as the
+    oracle for family_sup: the cross sum adds fin_chain_plus(b) for every b
+    met by an unbounded side, and the sup is read back through a per-carrier
+    test for "dominates every finite element"."""
+    vals, unb = {c.zero}, False
+    for v, m in f.items():
+        mv, mu = _windowed_multiples(c, v, m)
+        new = {c.plus(a, b) for a in vals for b in mv}
+        side_unb = unb and mu
+        for flag, other in ((unb, mv), (mu, vals)):
+            if flag:
+                for b in other:
+                    e = c.fin_chain_plus(b)
+                    if e is None:
+                        side_unb = True
+                    else:
+                        new.add(e)
+        vals, unb = new, side_unb
+    mx = max(vals)
+    assert all(c.leq(v, mx) for v in vals)
+    if not unb or _DOMINATES_ALL_FIN[c.name](mx):
+        return SupResult("exists", mx)
+    if c.fin_chain_sup is None:
+        return SupResult("no-least")
+    return SupResult("exists", c.fin_chain_sup)
+
+
+_SUP_MULTS = [fin(k) for k in range(5)] + [ALEPH0, UNCOUNTABLE]
+
+
+@pytest.mark.parametrize("make", [nat_infinity, omega_plus_reverse])
+def test_family_sup_matches_the_windowed_oracle(make):
+    c = make()
+    sample = c.sample(8)
+    fams = family_battery(c, 1, 500)
+    for k in (1, 2):
+        for keys in itertools.combinations(sample, k):
+            for mults in itertools.product(_SUP_MULTS, repeat=k):
+                fams.append(CardinalFamily(zip(keys, mults)))
+    rng = random.Random(7)
+    for _ in range(600):
+        keys = rng.sample(sample, 3)
+        fams.append(CardinalFamily({v: rng.choice(_SUP_MULTS) for v in keys}))
+    for f in fams:
+        assert family_sup(c, f) == windowed_family_sup(c, f), f
 
 
 # -- d-completeness -----------------------------------------------------------

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semirings import cli, completion
 from semirings.core import (enumerate_semirings, is_orderable, is_zero_sum_free,
@@ -256,9 +257,69 @@ def test_finitary_huge_multiplicity_exits_two(tmp_path, capsys):
 
 
 def test_maxlen_flag_is_gone(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["gallery", "--maxlen", "2"])
-    assert exc.value.code == 2
+    for flag in ("--maxlen", "--cap"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["gallery", flag, "2"])
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command, member, line", [
+    ("dcomplete", "omega-minus", '{"cycle": [1]}'),
+    ("dcomplete", "nat-infinity", '{"cycle": [1.7]}'),
+    ("dcomplete", "nat-infinity", '{"cycle": [true]}'),
+    ("dcomplete", "nat-infinity", '{"prefix": [null], "cycle": ["1"]}'),
+    ("dcomplete", "boolean", '{"prefix": [null], "cycle": ["1"]}'),
+    ("finitary", "nat-infinity", '{"family": {"1": 3}}'),
+    ("finitary", "powerset:1", '{"family": {"1": 3}}'),
+])
+def test_jsonl_non_string_values_exit_two(tmp_path, capsys, command, member, line):
+    path = tmp_path / "lines.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    assert cli.main([command, member, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["check", "{}"], ["finitary", "boolean", "{}"],
+                                  ["dcomplete", "boolean", "{}"]])
+def test_non_utf8_file_exits_two(tmp_path, capsys, argv):
+    path = tmp_path / "bin.json"
+    path.write_bytes(b"\xff\xfe{\x00}")
+    assert cli.main([arg.format(path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {path}: ")
+    assert captured.err.count("\n") == 1
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+
+
+def _jsonl_documents(v):
+    """Places for an arbitrary JSON value in a family or a sequence line."""
+    return [v, {"family": v}, {"family": {"1": v}}, {"family": {"0": "fin:1", "1": v}},
+            {"family": {"1": "aleph0"}, "cycle": v}, {"cycle": v}, {"cycle": [v]},
+            {"prefix": [v], "cycle": ["1"]}, {"prefix": v, "cycle": ["0"]}]
+
+
+@given(command=st.sampled_from(["dcomplete", "finitary"]),
+       member=st.sampled_from(["boolean", "powerset:1", "nat-infinity", "omega-minus"]),
+       value=_JSON_VALUES, place=st.integers(0, 8))
+@settings(max_examples=100, deadline=None)
+def test_arbitrary_json_in_jsonl_lines_never_raises(tmp_path_factory, command, member,
+                                                    value, place):
+    path = tmp_path_factory.mktemp("jsonl") / "lines.jsonl"
+    path.write_text(json.dumps(_jsonl_documents(value)[place]) + "\n", encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([command, member, str(path)])
+    assert code in (0, 1, 2)
+    assert err.getvalue().count("\n") <= 1
 
 
 BAD_ORDER = {"elements": ["0", "1"], "zero": 0, "one": 1,

@@ -1,17 +1,23 @@
+import itertools
 import random
 
 import pytest
 
 from semirings import completion
-from semirings.cardinal import (ALEPH0, CardinalFamily, FIN1, UNCOUNTABLE,
-                                family_battery, fin, is_finitary)
+from semirings.cardinal import (ALEPH0, CardinalFamily, FIN1, SigmaSemiring,
+                                UNCOUNTABLE, family_battery, fin,
+                                finite_subsums, is_finitary)
 from semirings.completion import (CongruenceVerdict, EmbeddingError,
                                   NotFinitaryError, NotOrderableError,
                                   completion_of_finite, lesssim,
                                   no_universal_complete_demo,
                                   sim_congruence_battery, sim_verdict,
                                   universal_property_check)
-from semirings.core import enumerate_semirings, is_orderable
+from semirings.core import (FiniteSemiring, InternalConsistencyError,
+                            PartialOrder, _comm_monoid_tables,
+                            _distributive_partners, all_partial_orders,
+                            check_ordered_semiring, enumerate_semirings,
+                            is_orderable)
 from semirings.gallery import (NINF_INF, boolean, four_valued,
                                language_semiring, nat_desk, nat_infinity, ninf,
                                powerset_semiring, xor_semiring)
@@ -144,6 +150,59 @@ def test_boolean_completion_sigma_is_any_nonzero():
     assert comp.sigma(CardinalFamily({1: FIN1})) == 1
     assert comp.sigma(CardinalFamily({0: UNCOUNTABLE})) == 0
     assert comp.sigma(CardinalFamily()) == 0
+
+
+def _greatest_subsum_sigma(s, o):
+    """Sigma as the greatest element of the full finite subsum set, kept as
+    the oracle for the completion's Sigma: the product of every key's
+    multiples, scanned for an element above all the others."""
+    carrier = SigmaSemiring.from_finite("subsum-carrier", s, None, o)
+
+    def sigma_fn(f):
+        values = finite_subsums(carrier, f).values
+        for m in values:
+            if all(o.leq(v, m) for v in values):
+                return m
+        raise AssertionError(f"no greatest subsum of {f!r}")
+
+    return sigma_fn
+
+
+def _ordered_pairs_up_to_4():
+    """Every semiring of size <= 4 with each compatible order."""
+    tables = [s for n in (1, 2, 3) for s in enumerate_semirings(n)]
+    tables += [FiniteSemiring(("0", "1", "2", "3"), 0, 1, add, mul)
+               for add in _comm_monoid_tables(4)
+               for mul in _distributive_partners(4, add)]
+    for s in tables:
+        for o in all_partial_orders(s.n):
+            if check_ordered_semiring(s, o).passed:
+                yield s, o
+
+
+def test_completion_sigma_matches_the_greatest_subsum_oracle():
+    mults = [fin(k) for k in (0, 1, 2, 3, 5)] + [ALEPH0, UNCOUNTABLE]
+    pairs = list(_ordered_pairs_up_to_4())
+    assert len(pairs) == 73
+    rng = random.Random(4)
+    for s, o in pairs:
+        sigma, oracle = completion._sup_sigma(s, o), _greatest_subsum_sigma(s, o)
+        fams = [CardinalFamily(zip(keys, ms))
+                for k in (1, 2) for keys in itertools.combinations(range(s.n), k)
+                for ms in itertools.product(mults, repeat=k)]
+        fams += [CardinalFamily({v: rng.choice(mults) for v in range(s.n)})
+                 for _ in range(40)]
+        for f in fams:
+            assert sigma(f) == oracle(f), (s, o, f)
+
+
+def test_completion_sigma_refuses_multiples_that_do_not_climb():
+    # the reversed order puts one below zero, so 0, 1 is a step down
+    s = boolean()
+    reversed_order = PartialOrder(((True, False), (True, True)))
+    sigma = completion._sup_sigma(s, reversed_order)
+    with pytest.raises(InternalConsistencyError, match="do not climb"):
+        sigma(CardinalFamily({s.one: FIN1}))
 
 
 def test_completion_report_passes_for_boolean():
