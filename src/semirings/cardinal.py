@@ -188,6 +188,8 @@ def family_from_json(c, text: str) -> CardinalFamily:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise StructureError(f"invalid JSON: {e.msg}") from None
+    except RecursionError:
+        raise StructureError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("family"), dict):
         raise StructureError('expected an object with a "family" mapping')
     mult = {}
@@ -211,6 +213,8 @@ def omega_sequence_from_json(c, text: str) -> OmegaSequence:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise StructureError(f"invalid JSON: {e.msg}") from None
+    except RecursionError:
+        raise StructureError("invalid JSON: nested too deeply") from None
     if (not isinstance(doc, dict) or not isinstance(doc.get("cycle"), list)
             or not isinstance(doc.get("prefix", []), list)):
         raise StructureError('expected {"prefix": [...], "cycle": [...]}')

@@ -25,7 +25,7 @@ from .core import (FiniteSemiring, StructureError, check_ordered_semiring,
                    natural_quasiorder, semiring_from_json)
 from .gallery import (ZeroSumError, adjoin_infinity, gallery_names,
                       gallery_semiring)
-from .series import poly_from_text, poly_to_text
+from .series import count_below, poly_from_text, poly_to_text
 from .suite import SuiteConfig, run_selftest
 
 
@@ -37,6 +37,9 @@ class RunConfig:
     sequences: int = 200
     triples: int = 300
     fmt: str = "human"
+
+
+MAX_BELOW = 10**5  # polynomials `congruence` may enumerate below both sides
 
 
 class InputError(Exception):
@@ -145,6 +148,11 @@ def _order_matrix(rel) -> list[str]:
     return ["".join("1" if x else "0" for x in row) for row in rel]
 
 
+def _absorption_text(s: FiniteSemiring, witness) -> str:
+    a, x, y = (s.label(i) for i in witness)
+    return f"{a}+{x}+{y} = {a} but {a}+{x} != {a}"
+
+
 def cmd_check(cfg: RunConfig) -> int:
     s, _ = _load_finite(cfg.inputs[0])
     report = check_semiring_axioms(s)
@@ -163,10 +171,7 @@ def cmd_check(cfg: RunConfig) -> int:
             wit.rel if orderable else natural_quasiorder(s).rel)
         payload["orderable"] = orderable
         if not orderable:
-            a, x, y = wit
-            payload["orderable-witness"] = (
-                f"{s.label(a)}+{s.label(x)}+{s.label(y)} = {s.label(a)} "
-                f"but {s.label(a)}+{s.label(x)} != {s.label(a)}")
+            payload["orderable-witness"] = _absorption_text(s, wit)
         payload["zero-sum-free"] = zsf
         if not zsf:
             payload["zero-sum-witness"] = f"{s.label(zwit[0])}+{s.label(zwit[1])} = 0"
@@ -231,11 +236,8 @@ def cmd_complete(cfg: RunConfig) -> int:
                                       families=max(60, cfg.families // 4),
                                       sequences=max(40, cfg.sequences // 4))
     except NotOrderableError as e:
-        a, x, y = e.witness
         _emit(cfg, {"command": "complete", "input": source, "orderable": False,
-                    "witness": f"{s.label(a)}+{s.label(x)}+{s.label(y)} = "
-                               f"{s.label(a)} but {s.label(a)}+{s.label(x)} "
-                               f"!= {s.label(a)}"})
+                    "witness": _absorption_text(s, e.witness)})
         return 1
     comp = result.semiring
     payload = {
@@ -254,11 +256,12 @@ def cmd_complete(cfg: RunConfig) -> int:
 
 def cmd_dcomplete(cfg: RunConfig) -> int:
     c = _load_sigma(cfg.inputs[0])
-    seqs = omega_sequence_battery(c, cfg.seed, cfg.sequences)
     if len(cfg.inputs) > 1:
         # one {"prefix": [...], "cycle": [...]} document per line
         seqs = [omega_sequence_from_json(c, line)
                 for line in _read_text(cfg.inputs[1]).splitlines() if line.strip()]
+    else:
+        seqs = omega_sequence_battery(c, cfg.seed, cfg.sequences)
     ok, witness = is_d_complete(c, seqs)
     payload = {"command": "dcomplete", "input": cfg.inputs[0],
                "d-complete": ok, "sequences": len(seqs)}
@@ -277,11 +280,12 @@ def cmd_finitary(cfg: RunConfig) -> int:
     if not c.has_order:
         raise InputError(f"{c.name} carries no order; the finitary test "
                          f"needs one")
-    fams = family_battery(c, cfg.seed, cfg.families)
     if len(cfg.inputs) > 1:
         # one {"family": {...}} document per line
         fams = [family_from_json(c, line)
                 for line in _read_text(cfg.inputs[1]).splitlines() if line.strip()]
+    else:
+        fams = family_battery(c, cfg.seed, cfg.families)
     try:
         ok, witness = is_finitary(c, fams)
     except SubsumLimitError as e:
@@ -313,6 +317,9 @@ def cmd_congruence(cfg: RunConfig) -> int:
         q = poly_from_text(right, s)
     except (ValueError, StructureError) as e:
         raise InputError(str(e)) from None
+    if (below := count_below(p) + count_below(q)) > MAX_BELOW:
+        raise InputError(f"{below} polynomials lie below the two sides; "
+                         f"congruence enumerates at most {MAX_BELOW}")
     verdict = sim_verdict(p, q, s, order)
     payload = {
         "command": "congruence",

@@ -8,7 +8,6 @@ which makes every reported witness the lexicographically least one.
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -316,18 +315,12 @@ def is_orderable(s: FiniteSemiring):
 @lru_cache(maxsize=None)
 def all_partial_orders(n: int):
     """Every partial order on {0..n-1}, in lexicographic bitmask order."""
-    if n > 4:
-        raise ValueError(f"partial-order enumeration supported for n <= 4, got {n}")
+    if n > 5:
+        raise ValueError(f"partial-order enumeration supported for n <= 5, got {n}")
+    rel = [[True if i == j else -1 for j in range(n)] for i in range(n)]
     cells = [(i, j) for i in range(n) for j in range(n) if i != j]
-    out = []
-    for bits in itertools.product((False, True), repeat=len(cells)):
-        mat = [[i == j for j in range(n)] for i in range(n)]
-        for (i, j), b in zip(cells, bits):
-            mat[i][j] = b
-        rel = tuple(tuple(row) for row in mat)
-        if is_partial_order(rel):
-            out.append(PartialOrder(rel))
-    return tuple(out)
+    return tuple(PartialOrder(r) for r in
+                 _fill_tables(rel, cells, (False, True), False, _poset_consistent))
 
 
 @dataclass(frozen=True)
@@ -415,104 +408,111 @@ def is_zero_sum_free(s: FiniteSemiring):
 _LABELS = ("0", "1", "a", "b", "c", "d")
 
 
-def _monoids_with_identity(n: int, identity: int, cells, symmetric: bool):
-    """Every associative table on {0..n-1} with the given two-sided identity.
-
-    A backtracking filler: the free `cells` are assigned in list order with
-    ascending values, and a branch is cut as soon as some triple whose four
-    lookups are all set fails associativity.  It returns the tables in the
-    order of itertools.product over the free cells, which random_semiring
-    depends on.  With `symmetric`, each cell (i, j) also sets (j, i)."""
-    rng = range(n)
-    t = [[-1] * n for _ in rng]
-    for i in rng:
-        t[identity][i] = t[i][identity] = i
+def _fill_tables(t, cells, values, symmetric: bool, lawful):
+    """Every lawful completion of the partial table `t` (-1 = unset), in the
+    order of itertools.product over the free `cells` and `values`, which
+    random_semiring and the order search's `examined` positions rely on.
+    A branch is cut as soon as `lawful(t)` fails on the cells set so far,
+    so it may fail only where no completion passes.  With `symmetric`, each
+    cell (i, j) also sets (j, i)."""
     out = []
 
-    def consistent() -> bool:
-        for ta in t:
-            for b in rng:
-                ab = ta[b]
-                if ab < 0:
-                    continue
-                tb, tab = t[b], t[ab]
-                for c in rng:
-                    bc = tb[c]
-                    if bc < 0:
-                        continue
-                    left, right = tab[c], ta[bc]
-                    if left >= 0 and right >= 0 and left != right:
-                        return False
-        return True
-
     def fill(k: int) -> None:
+        if not lawful(t):
+            return
         if k == len(cells):
             out.append(tuple(tuple(row) for row in t))
             return
         i, j = cells[k]
         p, q = (j, i) if symmetric else (i, j)
-        for v in rng:
+        for v in values:
             t[i][j] = t[p][q] = v
-            if consistent():
-                fill(k + 1)
+            fill(k + 1)
         t[i][j] = t[p][q] = -1
 
     fill(0)
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _comm_monoid_tables(n: int):
-    """All commutative monoid tables on {0..n-1} with identity 0."""
-    cells = [(i, j) for i in range(1, n) for j in range(i, n)]
-    return _monoids_with_identity(n, 0, cells, symmetric=True)
-
-
-@lru_cache(maxsize=None)
-def _monoid_tables(n: int):
-    """All monoid tables on {0..n-1} with identity 1 (n >= 2)."""
-    cells = [(i, j) for i in range(n) for j in range(n) if i != 1 and j != 1]
-    return _monoids_with_identity(n, 1, cells, symmetric=False)
-
-
-def _distributive(add, mul, n) -> bool:
-    for x in range(n):
-        mx = mul[x]
-        for y in range(n):
-            for z in range(n):
-                yz = add[y][z]
-                if mul[x][yz] != add[mx[y]][mx[z]]:
-                    return False
-                if mul[yz][x] != add[mul[y][x]][mul[z][x]]:
+def _associative(t) -> bool:
+    """False iff a triple whose four lookups are all set fails associativity."""
+    rng = range(len(t))
+    for ta in t:
+        for b in rng:
+            ab = ta[b]
+            if ab < 0:
+                continue
+            tb, tab = t[b], t[ab]
+            for c in rng:
+                bc = tb[c]
+                if bc < 0:
+                    continue
+                left, right = tab[c], ta[bc]
+                if left >= 0 and right >= 0 and left != right:
                     return False
     return True
 
 
-def _absorbing(mul, n, zero=0) -> bool:
-    return all(mul[zero][a] == zero == mul[a][zero] for a in range(n))
+def _distributes_over(add, t) -> bool:
+    """False iff some instance of either distributive law of `t` over the
+    full table `add` has all its lookups in `t` set and fails."""
+    rng = range(len(t))
+    for x in rng:
+        for y in rng:
+            for z in rng:
+                yz = add[y][z]
+                for xyz, a, b in ((t[x][yz], t[x][y], t[x][z]),
+                                  (t[yz][x], t[y][x], t[z][x])):
+                    if xyz >= 0 and a >= 0 and b >= 0 and xyz != add[a][b]:
+                        return False
+    return True
+
+
+def _poset_consistent(rel) -> bool:
+    """False iff the pairs set so far (1 = related, 0 = not, -1 = unset) break
+    antisymmetry or transitivity: a < b <= c with c = a or a <= c set to 0."""
+    rng = range(len(rel))
+    for a in rng:
+        for b in rng:
+            if a != b and rel[a][b] == 1:
+                for c in rng:
+                    if rel[b][c] == 1 and (c == a or rel[a][c] == 0):
+                        return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _comm_monoid_tables(n: int):
+    """All commutative monoid tables on {0..n-1} with identity 0."""
+    t = [list(range(n))] + [[i] + [-1] * (n - 1) for i in range(1, n)]
+    cells = [(i, j) for i in range(1, n) for j in range(i, n)]
+    return _fill_tables(t, cells, range(n), True, _associative)
+
+
+@lru_cache(maxsize=None)
+def _distributive_partners(n: int, add):
+    """Every multiplication on {0..n-1} (n >= 2) with identity 1 and
+    absorbing 0 that is associative and distributes over `add`."""
+    t = [[0] * n, list(range(n))] + [[0, i] + [-1] * (n - 2) for i in range(2, n)]
+    cells = [(i, j) for i in range(2, n) for j in range(2, n)]
+    return _fill_tables(t, cells, range(n), False,
+                        lambda t: _associative(t) and _distributes_over(add, t))
 
 
 def enumerate_semirings(n: int):
     """Yield every semiring table on n elements, with zero = 0 and one = 1
-    fixed (no quotient by isomorphism).  Exhaustive mode refuses n > 3."""
+    fixed (no quotient by isomorphism).  Exhaustive mode refuses n > 4."""
     if n < 1:
         raise ValueError("carrier size must be positive")
     if n == 1:
         yield FiniteSemiring(("0",), 0, 0, ((0,),), ((0,),))
         return
-    if n > 3:
-        raise ValueError(f"exhaustive enumeration is limited to n <= 3, got {n}")
+    if n > 4:
+        raise ValueError(f"exhaustive enumeration is limited to n <= 4, got {n}")
     labels = _LABELS[:n]
     for add in _comm_monoid_tables(n):
-        for mul in _monoid_tables(n):
-            if _absorbing(mul, n) and _distributive(add, mul, n):
-                yield FiniteSemiring(labels, 0, 1, add, mul)
-
-
-@lru_cache(maxsize=None)
-def _distributive_partners(n: int, add):
-    return tuple(m for m in _monoid_tables(n)
-                 if _absorbing(m, n) and _distributive(add, m, n))
+        for mul in _distributive_partners(n, add):
+            yield FiniteSemiring(labels, 0, 1, add, mul)
 
 
 def random_semiring(n: int, seed: int) -> FiniteSemiring:
@@ -555,6 +555,8 @@ def semiring_from_json(text: str):
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise StructureError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}")
+    except RecursionError:
+        raise StructureError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise StructureError("top-level JSON value must be an object")
     for key in ("elements", "zero", "one", "add", "mul"):

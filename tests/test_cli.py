@@ -293,6 +293,48 @@ def test_non_utf8_file_exits_two(tmp_path, capsys, argv):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [["check", "{}"], ["finitary", "boolean", "{}"],
+                                  ["dcomplete", "boolean", "{}"]])
+def test_deeply_nested_json_exits_two(tmp_path, capsys, argv):
+    path = tmp_path / "deep.jsonl"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    assert cli.main([arg.format(path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("invalid JSON: nested too deeply\n")
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_congruence_refuses_a_below_set_past_the_bound(capsys):
+    # 301**3 + 2 polynomials: enumerating them did not finish within 20 s
+    assert cli.main(["congruence", "boolean", "300*[1] + 300*[0] + 300*[]",
+                     "1*[1]"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: 27270903 polynomials lie below the two sides; "
+                            "congruence enumerates at most 100000\n")
+
+
+def test_congruence_bound_counts_both_sides(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_BELOW", 8)
+    assert cli.main(["congruence", "boolean", "3*[1]", "3*[0]"]) == 0
+    assert cli.main(["congruence", "boolean", "4*[1]", "3*[0]"]) == 2
+    assert "9 polynomials" in capsys.readouterr().err
+
+
+def test_check_and_complete_print_the_same_absorption_witness(tmp_path, capsys):
+    # the least triple on a size-4 table with labels other than 0 and 1
+    s = next(s for s in enumerate_semirings(4) if not is_orderable(s)[0])
+    path = tmp_path / "t.json"
+    path.write_text(semiring_to_json(s), encoding="utf-8")
+    a, x, y = (s.label(i) for i in is_orderable(s)[1])
+    want = f"{a}+{x}+{y} = {a} but {a}+{x} != {a}"
+    cli.main(["check", str(path), "--format", "json"])
+    assert json.loads(capsys.readouterr().out)["orderable-witness"] == want
+    assert cli.main(["complete", str(path), "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["witness"] == want
+
+
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
     lambda inner: (st.lists(inner, max_size=3)
@@ -380,6 +422,21 @@ def test_only_complete_certifies_the_completion(tmp_path, monkeypatch, capsys,
     calls = _counting(monkeypatch, completion, "check_sigma_axioms")
     assert cli.main([command, str(write_boolean(tmp_path)), "--battery", "60"]) == 0
     assert len(calls) == certified
+
+
+@pytest.mark.parametrize("command, battery, line", [
+    ("finitary", "family_battery", '{"family": {"1": "fin:2"}}'),
+    ("dcomplete", "omega_sequence_battery", '{"cycle": ["1"]}'),
+])
+def test_battery_is_built_only_without_a_file(tmp_path, monkeypatch, capsys,
+                                              command, battery, line):
+    calls = _counting(monkeypatch, cli, battery)
+    path = tmp_path / "lines.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    assert cli.main([command, "boolean", str(path)]) == 0
+    assert calls == []
+    assert cli.main([command, "boolean", "--battery", "60"]) == 0
+    assert len(calls) == 1
 
 
 def sigma_command_transcript(workdir: Path) -> str:

@@ -1,17 +1,19 @@
+import functools
 import itertools
 import json
 
 import pytest
 
 from semirings.core import (CheckReport, FiniteSemiring, OpTable,
-                            PartialOrder, StructureError, _comm_monoid_tables,
-                            _distributive_partners, _monoid_tables,
+                            PartialOrder, StructureError, _antisymmetry_witness,
+                            _comm_monoid_tables, _distributive_partners,
                             absorption_witness, all_partial_orders,
                             check_ordered_semiring, check_semiring_axioms,
-                            enumerate_semirings, is_orderable, is_zero_sum_free,
-                            natural_quasiorder, random_semiring,
-                            search_compatible_order, semiring_from_json,
-                            semiring_law_violations, semiring_to_json)
+                            enumerate_semirings, is_orderable, is_partial_order,
+                            is_zero_sum_free, natural_quasiorder,
+                            random_semiring, search_compatible_order,
+                            semiring_from_json, semiring_law_violations,
+                            semiring_to_json)
 from semirings.gallery import boolean, nat_desk, xor_semiring
 
 
@@ -63,6 +65,7 @@ def brute_comm_monoid_tables(n):
     return tuple(out)
 
 
+@functools.cache
 def brute_monoid_tables(n):
     """All monoid tables on {0..n-1} with identity 1 (n >= 2)."""
     cells = [(i, j) for i in range(n) for j in range(n) if i != 1 and j != 1]
@@ -75,6 +78,35 @@ def brute_monoid_tables(n):
             t[i][j] = v
         if _assoc(t, n):
             out.append(tuple(tuple(row) for row in t))
+    return tuple(out)
+
+
+def _distributive(add, mul, n):
+    return all(mul[x][add[y][z]] == add[mul[x][y]][mul[x][z]]
+               and mul[add[y][z]][x] == add[mul[y][x]][mul[z][x]]
+               for x in range(n) for y in range(n) for z in range(n))
+
+
+def brute_distributive_partners(n, add):
+    """Generate, then filter: the monoid tables with absorbing 0 that
+    distribute over `add`."""
+    return tuple(m for m in brute_monoid_tables(n)
+                 if all(m[0][a] == 0 == m[a][0] for a in range(n))
+                 and _distributive(add, m, n))
+
+
+def brute_partial_orders(n):
+    """Every reflexive, antisymmetric, transitive relation, scanning the
+    off-diagonal cells as bits in itertools.product order."""
+    cells = [(i, j) for i in range(n) for j in range(n) if i != j]
+    out = []
+    for bits in itertools.product((False, True), repeat=len(cells)):
+        mat = [[i == j for j in range(n)] for i in range(n)]
+        for (i, j), b in zip(cells, bits):
+            mat[i][j] = b
+        rel = tuple(tuple(row) for row in mat)
+        if is_partial_order(rel):
+            out.append(PartialOrder(rel))
     return tuple(out)
 
 
@@ -212,6 +244,7 @@ def test_enumeration_counts_frozen():
     assert len(list(enumerate_semirings(1))) == 1
     assert len(list(enumerate_semirings(2))) == 2
     assert len(list(enumerate_semirings(3))) == 6
+    assert len(list(enumerate_semirings(4))) == 77
 
 
 def test_nonabsorbing_tables_are_rejected():
@@ -243,7 +276,9 @@ def test_enumeration_is_complete_for_n2():
 
 def test_enumeration_refuses_large_n():
     with pytest.raises(ValueError):
-        list(enumerate_semirings(4))
+        list(enumerate_semirings(5))
+    with pytest.raises(ValueError):
+        all_partial_orders(6)
 
 
 def test_random_semiring_deterministic():
@@ -380,18 +415,55 @@ def test_json_malformed_inputs():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_backtracking_enumerators_match_brute_force(n):
-    # same tables in the same order: random_semiring draws by position
+    # same tables in the same order: random_semiring draws partners by
+    # position, and the order search counts positions in all_partial_orders
     assert _comm_monoid_tables(n) == brute_comm_monoid_tables(n)
-    assert _monoid_tables(n) == brute_monoid_tables(n)
+    for add in _comm_monoid_tables(n):
+        assert _distributive_partners(n, add) == brute_distributive_partners(n, add)
+    assert all_partial_orders(n) == brute_partial_orders(n)
+
+
+def test_partial_order_counts():
+    # the labelled posets on 1..5 points (OEIS A001035)
+    assert [len(all_partial_orders(n)) for n in range(1, 6)] == [1, 3, 19, 219, 4231]
+
+
+def _relabel(t, perm):
+    """The table of the operation t carried along the bijection perm."""
+    out = [[0] * len(t) for _ in t]
+    for i, row in enumerate(t):
+        for j, v in enumerate(row):
+            out[perm[i]][perm[j]] = perm[v]
+    return tuple(tuple(row) for row in out)
+
+
+def test_orderability_criteria_agree_on_every_size5_semiring():
+    # antisymmetry of the natural quasiorder, the absorption criterion and
+    # the compatible-order search, on one addition table per orbit of the
+    # relabellings that fix 0 and 1; isomorphic semirings agree on all three
+    perms = [(0, 1, *p) for p in itertools.permutations(range(2, 5))]
+    labels = ("0", "1", "a", "b", "c")
+    reps = semirings = orderable = 0
+    for add in _comm_monoid_tables(5):
+        orbit = {_relabel(add, p) for p in perms}
+        if add != min(orbit):
+            continue
+        reps += 1
+        for mul in _distributive_partners(5, add):
+            s = FiniteSemiring(labels, 0, 1, add, mul)
+            assert laws_hold(s)
+            anti = _antisymmetry_witness(natural_quasiorder(s).rel) is None
+            absorb = absorption_witness(range(5), s.add) is None
+            found = search_compatible_order(s).status
+            assert found != "inconclusive"
+            assert anti == absorb == (found == "found") == is_orderable(s)[0]
+            semirings += len(orbit)
+            orderable += len(orbit) * anti
+    assert (reps, semirings, orderable) == (277, 1719, 1446)
 
 
 def _search_cases():
-    out = list(all_semirings_up_to_3())
-    labels = ("0", "1", "a", "b")
-    for add in _comm_monoid_tables(4):
-        out += [FiniteSemiring(labels, 0, 1, add, mul)
-                for mul in _distributive_partners(4, add)]
-    return out
+    return list(all_semirings_up_to_3()) + list(enumerate_semirings(4))
 
 
 def test_order_search_matches_plain_scan():
