@@ -24,7 +24,8 @@ class CarrierError(ValueError):
 
 
 class MissingOrderError(ValueError):
-    """The operation needs an ordered carrier and none was supplied."""
+    """The operation needs an ordered carrier (a symbolic one with its chain
+    hooks) and none was supplied."""
 
 
 class SubsumLimitError(ValueError):
@@ -468,6 +469,8 @@ def family_sup(c: SigmaSemiring, f: CardinalFamily) -> SupResult:
         if c.order is None:
             raise MissingOrderError(f"{c.name} carries no order")
         return sup_in_order(c.order, finite_subsums(c, f).values)
+    if c.multiples_unbounded is None:
+        raise MissingOrderError(f"{c.name} declares no chain structure for sups")
     top, climbs = top_subsum(c, f)
     if not climbs:
         return SupResult("exists", top)

@@ -75,10 +75,8 @@ class QuasiOrder:
 
 
 @dataclass(frozen=True)
-class PartialOrder:
+class PartialOrder(QuasiOrder):
     """Reflexive transitive antisymmetric relation as a boolean matrix."""
-
-    rel: tuple[tuple[bool, ...], ...]
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "PartialOrder":
@@ -98,13 +96,6 @@ class PartialOrder:
         if _antisymmetry_witness(rel) is not None:
             raise StructureError("order pairs close into a cyclic relation")
         return cls(rel)
-
-    @property
-    def n(self) -> int:
-        return len(self.rel)
-
-    def leq(self, a: int, b: int) -> bool:
-        return self.rel[a][b]
 
     def pairs(self):
         return [(i, j) for i in range(self.n) for j in range(self.n)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import FiniteSemiring, PartialOrder, is_zero_sum_free
+from .core import FiniteSemiring, PartialOrder, is_orderable, is_zero_sum_free
 from .cardinal import ALEPH0, CardinalFamily, SigmaSemiring, UNCOUNTABLE
 
 
@@ -74,6 +74,11 @@ def _ninf_parse(text: str) -> NInfElement:
     return NINF_INF if text == "inf" else ninf(int(text))
 
 
+# the operations `nat` and `nat_infinity` share
+_NAT_OPS = dict(zero=NINF_ZERO, one=NINF_ONE, plus=ninf_add, times=ninf_mul,
+                leq=ninf_leq, label=NInfElement.label, parse_label=_ninf_parse)
+
+
 def nat_infinity() -> SigmaSemiring:
     """The d-complete semiring of naturals plus infinity; Sigma is infinity
     as soon as an infinity key or an infinite multiplicity on a nonzero key
@@ -91,16 +96,10 @@ def nat_infinity() -> SigmaSemiring:
 
     return SigmaSemiring(
         "nat-infinity",
-        zero=NINF_ZERO,
-        one=NINF_ONE,
-        plus=ninf_add,
-        times=ninf_mul,
+        **_NAT_OPS,
         sigma_fn=sigma,
-        leq=ninf_leq,
         sample=lambda k: [ninf(i) for i in range(max(1, k - 1))] + [NINF_INF],
         contains=lambda v: isinstance(v, NInfElement),
-        label=NInfElement.label,
-        parse_label=_ninf_parse,
         multiples_unbounded=lambda v: v.rank == 0 and v.n > 0,
         fin_chain_plus=lambda b: NINF_INF if b.rank else None,
         fin_chain_sup=NINF_INF,
@@ -112,19 +111,12 @@ def nat() -> SigmaSemiring:
     completion is the naturals-with-infinity semiring."""
     return SigmaSemiring(
         "nat",
-        zero=NINF_ZERO,
-        one=NINF_ONE,
-        plus=ninf_add,
-        times=ninf_mul,
+        **_NAT_OPS,
         sigma_fn=None,
-        leq=ninf_leq,
         sample=lambda k: [ninf(i) for i in range(max(1, k))],
         contains=lambda v: isinstance(v, NInfElement) and v.rank == 0,
-        label=NInfElement.label,
-        parse_label=_ninf_parse,
         multiples_unbounded=lambda v: v.n > 0,
         fin_chain_plus=lambda b: None,
-        fin_chain_sup=None,
     )
 
 
@@ -149,10 +141,6 @@ def nat_desk(cap: int) -> FiniteSemiring:
     return FiniteSemiring(labels, 0, 1, add, mul)
 
 
-def _chain_order(n: int) -> PartialOrder:
-    return PartialOrder(tuple(tuple(i <= j for j in range(n)) for i in range(n)))
-
-
 def _union_sigma(f: CardinalFamily) -> int:
     """Sigma of bitmask-encoded sets under union: the union of the keys,
     whatever their multiplicities."""
@@ -162,21 +150,25 @@ def _union_sigma(f: CardinalFamily) -> int:
     return mask
 
 
+def _union_lattice(name: str, atoms, one: int, mul) -> SigmaSemiring:
+    """All sets of the named atoms as bitmasks: union, the product `mul`,
+    inclusion, and the union Sigma."""
+    n = 1 << len(atoms)
+    labels = tuple("{" + ",".join(a for i, a in enumerate(atoms) if m >> i & 1) + "}"
+                   for m in range(n))
+    add = tuple(tuple(i | j for j in range(n)) for i in range(n))
+    order = PartialOrder(tuple(tuple(i | j == j for j in range(n)) for i in range(n)))
+    return SigmaSemiring.from_finite(name, FiniteSemiring(labels, 0, one, add, mul),
+                                     _union_sigma, order)
+
+
 def powerset_semiring(universe) -> SigmaSemiring:
     """All subsets of a finite universe: union, intersection, inclusion.
     Subsets are encoded as bitmask indices, so the tables are bit ops."""
     atoms = tuple(universe)
     n = 1 << len(atoms)
-
-    def subset_label(mask: int) -> str:
-        return "{" + ",".join(a for i, a in enumerate(atoms) if mask >> i & 1) + "}"
-
-    labels = tuple(subset_label(m) for m in range(n))
-    add = tuple(tuple(i | j for j in range(n)) for i in range(n))
     mul = tuple(tuple(i & j for j in range(n)) for i in range(n))
-    base = FiniteSemiring(labels, 0, n - 1, add, mul)
-    order = PartialOrder(tuple(tuple(i | j == j for j in range(n)) for i in range(n)))
-    return SigmaSemiring.from_finite(f"powerset:{len(atoms)}", base, _union_sigma, order)
+    return _union_lattice(f"powerset:{len(atoms)}", atoms, n - 1, mul)
 
 
 def language_semiring(alphabet, maxlen: int) -> SigmaSemiring:
@@ -184,60 +176,52 @@ def language_semiring(alphabet, maxlen: int) -> SigmaSemiring:
 
     Discarding overlong products is a congruence: a product exceeds the
     bound exactly when all its extensions do, so the quotient is consistent.
-    Languages are bitmasks over the shortlex word list."""
+    Languages are bitmasks over the shortlex word list.  The product
+    distributes over union, so each cell is the union of two cells already
+    filled: split off x's lowest word, or, when x is one word, y's."""
     if maxlen < 0:
         raise ValueError("maximum word length must be nonnegative")
     letters = tuple(alphabet)
     words = [()]
     for length in range(1, maxlen + 1):
         words.extend(itertools.product(range(len(letters)), repeat=length))
-    w_index = {w: i for i, w in enumerate(words)}
-    if len(words) > 10:
-        raise ValueError("language carrier too large; shrink alphabet or maxlen")
+        if len(words) > 10:
+            raise ValueError("language carrier too large; shrink alphabet or maxlen")
+    bit = {w: 1 << i for i, w in enumerate(words)}  # overlong words are absent
     n = 1 << len(words)
+    mul = [[0] * n]
+    for x in range(1, n):
+        low = x & -x
+        if x != low:
+            mul.append([a | b for a, b in zip(mul[low], mul[x ^ low])])
+            continue
+        u = words[low.bit_length() - 1]
+        row = [0]
+        for y in range(1, n):
+            ylow = y & -y
+            row.append(row[ylow] | row[y ^ ylow] if y != ylow
+                       else bit.get(u + words[ylow.bit_length() - 1], 0))
+        mul.append(row)
+    atoms = ["".join(letters[x] for x in w) if w else "eps" for w in words]
+    return _union_lattice(f"lang:{len(letters)}:{maxlen}", atoms, 1,
+                          tuple(map(tuple, mul)))
 
-    def lang_label(mask: int) -> str:
-        parts = []
-        for i, w in enumerate(words):
-            if mask >> i & 1:
-                parts.append("".join(letters[x] for x in w) if w else "eps")
-        return "{" + ",".join(parts) + "}"
 
-    labels = tuple(lang_label(m) for m in range(n))
-    add = tuple(tuple(i | j for j in range(n)) for i in range(n))
-
-    concat = [[0] * len(words) for _ in range(len(words))]
-    for i, u in enumerate(words):
-        for j, v in enumerate(words):
-            w = u + v
-            concat[i][j] = 1 << w_index[w] if len(w) <= maxlen else 0
-
-    def lang_mul(x: int, y: int) -> int:
-        mask = 0
-        for i in range(len(words)):
-            if x >> i & 1:
-                row = concat[i]
-                for j in range(len(words)):
-                    if y >> j & 1:
-                        mask |= row[j]
-        return mask
-
-    mul = tuple(tuple(lang_mul(i, j) for j in range(n)) for i in range(n))
-    base = FiniteSemiring(labels, 0, 1, add, mul)
-    order = PartialOrder(tuple(tuple(i | j == j for j in range(n)) for i in range(n)))
-    return SigmaSemiring.from_finite(
-        f"lang:{len(letters)}:{maxlen}", base, _union_sigma, order)
+def _max_chain(name: str, labels, sigma) -> SigmaSemiring:
+    """The chain labels[0] < labels[1] < ...: addition is max, and so is
+    multiplication except that zero absorbs."""
+    n = len(labels)
+    add = tuple(tuple(max(i, j) for j in range(n)) for i in range(n))
+    mul = tuple(tuple(0 if 0 in (i, j) else max(i, j) for j in range(n)) for i in range(n))
+    order = PartialOrder(tuple(tuple(i <= j for j in range(n)) for i in range(n)))
+    return SigmaSemiring.from_finite(name, FiniteSemiring(labels, 0, 1, add, mul),
+                                     sigma, order)
 
 
 def three_valued() -> SigmaSemiring:
     """Chain 0 < finite < infinite; complete but not d-complete: infinitely
     many "finite" terms escalate to "infinite" even though the partial sums
     stay at "finite"."""
-    base = FiniteSemiring(
-        ("0", "finite", "infinite"), 0, 1,
-        tuple(tuple(max(i, j) for j in range(3)) for i in range(3)),
-        tuple(tuple(0 if 0 in (i, j) else max(i, j) for j in range(3)) for i in range(3)),
-    )
 
     def sigma(f: CardinalFamily) -> int:
         top = 0
@@ -249,7 +233,7 @@ def three_valued() -> SigmaSemiring:
             return 2
         return top
 
-    return SigmaSemiring.from_finite("three-valued", base, sigma, _chain_order(3))
+    return _max_chain("three-valued", ("0", "finite", "infinite"), sigma)
 
 
 def four_valued() -> SigmaSemiring:
@@ -260,11 +244,6 @@ def four_valued() -> SigmaSemiring:
     constant partial sums "finite", so they must sum to "finite"; only an
     uncountable multiplicity (or an uncountable key) escalates past the
     largest key class."""
-    base = FiniteSemiring(
-        ("0", "finite", "countable", "uncountable"), 0, 1,
-        tuple(tuple(max(i, j) for j in range(4)) for i in range(4)),
-        tuple(tuple(0 if 0 in (i, j) else max(i, j) for j in range(4)) for i in range(4)),
-    )
 
     def sigma(f: CardinalFamily) -> int:
         top = 0
@@ -277,7 +256,7 @@ def four_valued() -> SigmaSemiring:
             return 3
         return top
 
-    return SigmaSemiring.from_finite("four-valued", base, sigma, _chain_order(4))
+    return _max_chain("four-valued", ("0", "finite", "countable", "uncountable"), sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +399,6 @@ def adjoin_infinity(s: FiniteSemiring) -> SigmaSemiring:
                 acc = base.plus(acc, v)
         return acc
 
-    from .core import is_orderable
     orderable, w = is_orderable(base)
     order = w if orderable else None
     return SigmaSemiring.from_finite(f"adjoin-inf:{len(s.elements)}", base, sigma, order)
@@ -451,17 +429,15 @@ def search_distributivity_violation(pool):
         families += [CardinalFamily({a: ALEPH0, b: ALEPH0})
                      for a in range(t.base.n) for b in range(a + 1, t.base.n)
                      if a != t.zero and b != t.zero]
+        sides = (("left", t.times), ("right", lambda a, b: t.times(b, a)))
         for x in range(t.base.n):
             for f in families:
                 total = t.sigma(f)
-                lhs = t.times(x, total)
-                rhs = t.sigma(f.map_keys(lambda v: t.times(x, v)))
-                if lhs != rhs:
-                    return DistributivityWitness(s, x, f, "left", lhs, rhs)
-                lhs = t.times(total, x)
-                rhs = t.sigma(f.map_keys(lambda v: t.times(v, x)))
-                if lhs != rhs:
-                    return DistributivityWitness(s, x, f, "right", lhs, rhs)
+                for side, times in sides:
+                    lhs = times(x, total)
+                    rhs = t.sigma(f.map_keys(lambda v: times(x, v)))
+                    if lhs != rhs:
+                        return DistributivityWitness(s, x, f, side, lhs, rhs)
     return None
 
 
@@ -470,26 +446,20 @@ def search_distributivity_violation(pool):
 
 _LETTERS = "abcdefgh"
 
+# the members without parameters, in listing order
+_NAMED = {"boolean": boolean, "nat": nat, "nat-infinity": nat_infinity,
+          "three-valued": three_valued, "four-valued": four_valued,
+          "omega-minus": omega_plus_reverse}
+
 
 def gallery_names():
-    return ["boolean", "nat", "nat-infinity", "three-valued", "four-valued",
-            "omega-minus", "powerset:<n>", "lang:<k>:<L>"]
+    return [*_NAMED, "powerset:<n>", "lang:<k>:<L>"]
 
 
 def gallery_semiring(name: str):
     """Resolve a registry name to a FiniteSemiring or SigmaSemiring."""
-    if name == "boolean":
-        return boolean()
-    if name == "nat":
-        return nat()
-    if name == "nat-infinity":
-        return nat_infinity()
-    if name == "three-valued":
-        return three_valued()
-    if name == "four-valued":
-        return four_valued()
-    if name == "omega-minus":
-        return omega_plus_reverse()
+    if name in _NAMED:
+        return _NAMED[name]()
     if name.startswith("powerset:"):
         (k,) = _name_params(name, "powerset:K, K in 0..4")
         if not 0 <= k <= 4:

@@ -23,6 +23,7 @@ from semirings.gallery import (NINF_INF, OMEGA_INF, adjoin_infinity, boolean,
                                ninf, omega_fin, omega_inf_minus,
                                omega_plus_reverse, powerset_semiring,
                                three_valued)
+from semirings.series import series_semiring
 
 cardinals = st.one_of(
     st.integers(min_value=0, max_value=20).map(fin),
@@ -379,6 +380,10 @@ def test_finitary_needs_order():
         lambda f: 1 if any(v != 0 for v, _ in f.items()) else 0, None)
     with pytest.raises(MissingOrderError):
         is_finitary(c, [CardinalFamily()])
+    # ordered, but symbolic without the chain hooks the sup rule reads
+    series = series_semiring(nat_infinity(), 1, 1)
+    with pytest.raises(MissingOrderError, match=r"series\(nat-infinity"):
+        is_finitary(series, family_battery(series, 0, 20))
 
 
 # -- the axiom battery ---------------------------------------------------------

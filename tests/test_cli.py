@@ -223,13 +223,14 @@ def test_selftest_matches_golden(capsys, seed, battery):
 
 
 @pytest.mark.parametrize("name", ["nope", "powerset:x", "lang:3:3", "powerset:",
-                                  "lang:2", "lang:x:2", "lang:2:y"])
+                                  "lang:2", "lang:x:2", "lang:2:y",
+                                  "lang:1:99999999", "lang:2:40"])
 def test_gallery_bad_name_exits_two(capsys, name):
     assert cli.main(["gallery", name]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert name in err
-    if name not in ("nope", "lang:3:3"):
+    if name not in ("nope", "lang:3:3", "lang:1:99999999", "lang:2:40"):
         assert "expected " + name.split(":")[0] + ":K" in err
 
 

@@ -1,5 +1,11 @@
+import contextlib
+import io
+import itertools
+from pathlib import Path
+
 import pytest
 
+from semirings import cli
 from semirings.cardinal import (ALEPH0, CardinalFamily, FIN1,
                                 UNCOUNTABLE, check_sigma_axioms, fin)
 from semirings.core import (OpTable, absorption_witness, check_semiring_axioms,
@@ -7,12 +13,15 @@ from semirings.core import (OpTable, absorption_witness, check_semiring_axioms,
                             semiring_law_violations)
 from semirings.gallery import (NINF_INF, OMEGA_INF, ZeroSumError,
                                adjoin_infinity, boolean, four_valued,
-                               gallery_semiring, language_semiring, nat,
+                               gallery_names, gallery_semiring,
+                               language_semiring, nat,
                                nat_desk, nat_infinity, ninf, omega_add,
                                omega_fin, omega_inf_minus, omega_mul,
                                omega_plus_reverse, powerset_semiring,
                                search_distributivity_violation, three_valued,
                                xor_semiring)
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_finite_gallery_members_are_semirings():
@@ -203,3 +212,63 @@ def test_nat_has_no_sigma():
     assert not c.has_sigma
     with pytest.raises(ValueError):
         c.sigma(CardinalFamily({ninf(1): FIN1}))
+
+
+def test_gallery_names_are_frozen():
+    assert gallery_names() == ["boolean", "nat", "nat-infinity", "three-valued",
+                               "four-valued", "omega-minus", "powerset:<n>",
+                               "lang:<k>:<L>"]
+
+
+def concatenation_product(alphabet, maxlen):
+    """The language product cell by cell: a table of word concatenations,
+    then for each pair of languages the union over all pairs of words."""
+    words = [()]
+    for length in range(1, maxlen + 1):
+        words.extend(itertools.product(range(len(alphabet)), repeat=length))
+    w_index = {w: i for i, w in enumerate(words)}
+    concat = [[1 << w_index[u + v] if len(u + v) <= maxlen else 0 for v in words]
+              for u in words]
+
+    def cell(x, y):
+        mask = 0
+        for i in range(len(words)):
+            if x >> i & 1:
+                for j in range(len(words)):
+                    if y >> j & 1:
+                        mask |= concat[i][j]
+        return mask
+
+    n = 1 << len(words)
+    return tuple(tuple(cell(x, y) for y in range(n)) for x in range(n))
+
+
+@pytest.mark.parametrize("k,maxlen", [(1, m) for m in range(7)]
+                         + [(2, m) for m in range(3)] + [(3, m) for m in range(2)])
+def test_language_product_matches_concatenation(k, maxlen):
+    alphabet = "abc"[:k]
+    assert language_semiring(alphabet, maxlen).base.mul == \
+        concatenation_product(alphabet, maxlen)
+
+
+GOLDEN_MEMBERS = (["boolean", "nat", "nat-infinity", "three-valued", "four-valued",
+                   "omega-minus"]
+                  + [f"powerset:{k}" for k in range(5)]
+                  + [f"lang:1:{m}" for m in range(4)] + [f"lang:2:{m}" for m in range(3)]
+                  + [f"lang:3:{m}" for m in range(2)])
+
+
+def gallery_transcript() -> str:
+    """`gallery --format json` for the listing and for each golden member:
+    one header line per run, then its stdout and its exit code."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        for args in [[]] + [[name] for name in GOLDEN_MEMBERS]:
+            print(" ".join(["$ gallery", *args, "--format json"]))
+            print(f"exit {cli.main(['gallery', *args, '--format', 'json'])}")
+    return out.getvalue()
+
+
+def test_gallery_members_match_golden():
+    want = (GOLDEN / "gallery_members.txt").read_text(encoding="utf-8")
+    assert gallery_transcript() == want
