@@ -12,6 +12,7 @@ import functools
 import itertools
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -59,7 +60,10 @@ class Cardinal:
 def fin(n: int) -> Cardinal:
     if n < 0:
         raise ValueError("finite multiplicity must be nonnegative")
-    return Cardinal(0, n)
+    return _SMALL_FINS[n] if n < len(_SMALL_FINS) else Cardinal(0, n)
+
+
+_SMALL_FINS = tuple(Cardinal(0, n) for n in range(64))  # one object each
 
 
 FIN0 = fin(0)
@@ -121,8 +125,18 @@ class CardinalFamily:
         self._items = tuple(sorted(d.items(), key=itemgetter(0)))
 
     @classmethod
+    def _canonical(cls, items) -> "CardinalFamily":
+        """The family of a tuple of (value, nonzero multiplicity) pairs
+        that is already sorted by value, with no value repeated."""
+        f = cls.__new__(cls)
+        f._items = items
+        return f
+
+    @classmethod
     def from_sequence(cls, values) -> "CardinalFamily":
-        return cls((v, FIN1) for v in values)
+        counts = Counter(values)
+        return cls._canonical(tuple(sorted(((v, fin(k)) for v, k in counts.items()),
+                                           key=itemgetter(0))))
 
     def get(self, v) -> Cardinal:
         return dict(self._items).get(v, FIN0)
@@ -146,7 +160,9 @@ class CardinalFamily:
 
     def scale(self, k: Cardinal) -> "CardinalFamily":
         """The disjoint union of k copies of this family."""
-        return CardinalFamily((v, card_mul(k, c)) for v, c in self._items)
+        if k == FIN0:
+            return EMPTY_FAMILY
+        return CardinalFamily._canonical(tuple((v, card_mul(k, c)) for v, c in self._items))
 
     def __eq__(self, other):
         return isinstance(other, CardinalFamily) and self._items == other._items
@@ -581,7 +597,8 @@ def _random_family(rng, sample) -> CardinalFamily:
     _RANDOM_MULTS."""
     size = rng.randrange(1, 4)
     keys = rng.sample(sample, min(size, len(sample)))
-    return CardinalFamily({v: rng.choice(_RANDOM_MULTS) for v in keys})
+    return CardinalFamily._canonical(tuple(sorted(
+        ((v, rng.choice(_RANDOM_MULTS)) for v in keys), key=itemgetter(0))))
 
 
 def family_battery(c: SigmaSemiring, seed: int, count: int):
@@ -662,8 +679,8 @@ def _sigma_axiom_violations(c: SigmaSemiring, seed: int, families: int):
         total = sigma(f)
 
         splits = [(v, _split_cardinal(rng, m)) for v, m in f.items()]
-        part1 = CardinalFamily((v, m1) for v, (m1, _) in splits)
-        part2 = CardinalFamily((v, m2) for v, (_, m2) in splits)
+        part1, part2 = (CardinalFamily._canonical(
+            tuple((v, ms[i]) for v, ms in splits if ms[i] != FIN0)) for i in (0, 1))
         blockwise = c.plus(sigma(part1), sigma(part2))
         if blockwise != total:
             yield "sigma-partition-split", (f, part1, part2, total, blockwise)

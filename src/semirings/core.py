@@ -11,7 +11,9 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
+from itertools import compress, repeat
+from operator import itemgetter
 
 
 class StructureError(ValueError):
@@ -139,23 +141,16 @@ def _is_reflexive(rel) -> bool:
 
 
 def _is_transitive(rel) -> bool:
-    n = len(rel)
-    for a in range(n):
-        for b in range(n):
-            if rel[a][b]:
-                for c in range(n):
-                    if rel[b][c] and not rel[a][c]:
-                        return False
-    return True
+    """Every row includes the rows of the elements it relates to; each row
+    is a bitmask with one byte per element."""
+    masks = [int.from_bytes(bytes(row), "little") for row in rel]
+    return all(m & ~mask == 0 for row, mask in zip(rel, masks)
+               for m in compress(masks, row))
 
 
 def _antisymmetry_witness(rel):
-    n = len(rel)
-    for a in range(n):
-        for b in range(a + 1, n):
-            if rel[a][b] and rel[b][a]:
-                return (a, b)
-    return None
+    return next(((a, b) for a, row in enumerate(rel) for b in range(a + 1, len(rel))
+                 if row[b] and rel[b][a]), None)
 
 
 def is_partial_order(rel) -> bool:
@@ -202,6 +197,62 @@ class _OpRow(partial):
     __getitem__ = partial.__call__
 
 
+def _gather(keys):
+    """row -> (row[k] for k in keys) as a tuple, read in C; a tuple even
+    for one key, where itemgetter alone returns the bare item."""
+    get = itemgetter(*keys)
+    return get if len(keys) > 1 else lambda row: (get(row),)
+
+
+def _transpose(table):
+    """The table of (a, b) -> table[b][a]."""
+    if isinstance(table, OpTable):
+        return OpTable(lambda a, b, fn=table.fn: fn(b, a))
+    return tuple(zip(*table))
+
+
+class _Rows(dict):
+    """rows[v] == (table[v][k] for k in keys) as a tuple, read from the
+    table once per value v."""
+
+    def __init__(self, table, keys):
+        self.table, self.gather = table, _gather(keys)
+
+    def __missing__(self, v):
+        row = self[v] = self.gather(self.table[v])
+        return row
+
+
+def _least_at(e, lead, left, right):
+    """lead + the least c in e at which the rows left and right differ, or
+    None where they agree."""
+    return next(((*lead, c) for c, l, r in zip(e, left, right) if l != r), None)
+
+
+def _associativity_witness(e, rows: _Rows):
+    """Least (a, b, c) with (a*b)*c != a*(b*c), where rows[v] == v*c over c."""
+    along = [_gather(rows[b]) for b in e]  # along[b](row a) == a*(b*c) over c
+    for a in e:
+        ta = rows.table[a]
+        for b, ab, a_bc in zip(e, rows[a], along):
+            if rows[ab] != (right := a_bc(ta)):
+                return _least_at(e, (a, b), rows[ab], right)
+    return None
+
+
+def _distributivity_witness(e, add: _Rows, mul: _Rows):
+    """Least (x, y, z) with x*(y+z) != x*y + x*z: left distributivity of
+    mul over add, or right distributivity when mul is transposed."""
+    along = [_gather(add[y]) for y in e]  # along[y](row x) == x*(y+z) over z
+    for x in e:
+        mx = mul.table[x]
+        plus_xz = _Rows(add.table, mul[x])  # plus_xz[u] == u + x*z over z
+        for y, xy, x_yz in zip(e, mul[x], along):
+            if (left := x_yz(mx)) != plus_xz[xy]:
+                return _least_at(e, (x, y), left, plus_xz[xy])
+    return None
+
+
 def semiring_law_violations(elements, add, mul, zero, one):
     """The least witness of each violated semiring law, as a list of
     (law, witness) pairs in law order.
@@ -210,46 +261,44 @@ def semiring_law_violations(elements, add, mul, zero, one):
     run over `elements` in the order given, so each witness is the least
     one in that order.  A finite carrier passes range(n) and its tables; a
     symbolic one passes an element sample and OpTable views, which makes
-    every law instance over the sample exact."""
+    every law instance over the sample exact.
+
+    The last variable of each law runs a whole row at a time: the two
+    sides are gathered in C as tuples over it and compared, and only the
+    first pair of rows that differ is scanned for its least position.
+    Each distinct row is gathered once: x*y + x*z over z, for instance,
+    once per value of x*y."""
     e = elements
-    laws = (
-        ("add-associativity",
-         ((a, b, c) for a in e for b in e for c in e
-          if add[add[a][b]][c] != add[a][add[b][c]])),
-        ("add-commutativity",
-         ((a, b) for a in e for b in e if add[a][b] != add[b][a])),
-        ("add-identity",
-         ((a,) for a in e if add[zero][a] != a or add[a][zero] != a)),
-        ("mul-associativity",
-         ((a, b, c) for a in e for b in e for c in e
-          if mul[mul[a][b]][c] != mul[a][mul[b][c]])),
-        ("mul-identity",
-         ((a,) for a in e if mul[one][a] != a or mul[a][one] != a)),
-        ("zero-absorption",
-         ((a,) for a in e if mul[zero][a] != zero or mul[a][zero] != zero)),
-        ("left-distributivity",
-         ((x, y, z) for x in e for y in e for z in e
-          if mul[x][add[y][z]] != add[mul[x][y]][mul[x][z]])),
-        ("right-distributivity",
-         ((x, y, z) for x in e for y in e for z in e
-          if mul[add[y][z]][x] != add[mul[y][x]][mul[z][x]])),
+    add_rows, add_t_rows, mul_rows, mul_t_rows = (
+        _Rows(t, e) for t in (add, _transpose(add), mul, _transpose(mul)))
+    found = (
+        ("add-associativity", _associativity_witness(e, add_rows)),
+        ("add-commutativity", next((_least_at(e, (a,), add_rows[a], add_t_rows[a])
+                                    for a in e if add_rows[a] != add_t_rows[a]), None)),
+        # a one-variable law compares (row[a], column[a]) with what it must be
+        ("add-identity", _least_at(e, (), zip(add_rows[zero], add_t_rows[zero]), zip(e, e))),
+        ("mul-associativity", _associativity_witness(e, mul_rows)),
+        ("mul-identity", _least_at(e, (), zip(mul_rows[one], mul_t_rows[one]), zip(e, e))),
+        ("zero-absorption", _least_at(e, (), zip(mul_rows[zero], mul_t_rows[zero]),
+                                      repeat((zero, zero)))),
+        ("left-distributivity", _distributivity_witness(e, add_rows, mul_rows)),
+        ("right-distributivity", _distributivity_witness(e, add_rows, mul_t_rows)),
     )
-    found = ((law, next(witnesses, None)) for law, witnesses in laws)
     return [(law, witness) for law, witness in found if witness is not None]
 
 
 def absorption_witness(elements, add):
     """Least (a, x, y) over `elements` with a+x+y = a but a+x != a, or
     None; there is none exactly when the natural quasiorder is
-    antisymmetric.  Reads the same table view as semiring_law_violations."""
+    antisymmetric.  Reads the same table view as semiring_law_violations,
+    and each row of add once, but not natural_quasiorder's relation, so
+    the two criteria stay independent."""
+    rows = _Rows(add, elements)
+    row_set = cache(lambda v: set(rows[v]))
     for a in elements:
-        for x in elements:
-            ax = add[a][x]
-            if ax == a:
-                continue
-            for y in elements:
-                if add[ax][y] == a:
-                    return (a, x, y)
+        for x, ax in zip(elements, rows[a]):
+            if ax != a and a in row_set(ax):
+                return (a, x, elements[rows[ax].index(a)])
     return None
 
 
@@ -273,12 +322,8 @@ def check_semiring_axioms(s: FiniteSemiring) -> CheckReport:
 
 
 def natural_quasiorder(s: FiniteSemiring) -> QuasiOrder:
-    """a <= b iff a + x = b for some x in the carrier."""
-    n = s.n
-    rel = tuple(
-        tuple(any(s.add[a][x] == b for x in range(n)) for b in range(n))
-        for a in range(n)
-    )
+    """a <= b iff a + x = b for some x in the carrier: b is in a's row."""
+    rel = tuple(tuple(map(set(row).__contains__, range(s.n))) for row in s.add)
     if not (_is_reflexive(rel) and _is_transitive(rel)):
         raise InternalConsistencyError(
             "natural quasiorder of a semiring must be reflexive and transitive")
@@ -387,13 +432,9 @@ def search_compatible_order(s: FiniteSemiring, budget: int | None = None) -> Ord
 
 def is_zero_sum_free(s: FiniteSemiring):
     """True iff x+y = 0 has no solution with x, y nonzero."""
-    for x in range(s.n):
-        if x == s.zero:
-            continue
-        for y in range(s.n):
-            if y != s.zero and s.add[x][y] == s.zero:
-                return False, (x, y)
-    return True, None
+    pair = next(((x, y) for x, row in enumerate(s.add) for y, v in enumerate(row)
+                 if v == s.zero and s.zero not in (x, y)), None)
+    return pair is None, pair
 
 
 _LABELS = ("0", "1", "a", "b", "c", "d")

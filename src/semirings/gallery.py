@@ -183,7 +183,7 @@ def language_semiring(alphabet, maxlen: int) -> SigmaSemiring:
         raise ValueError("maximum word length must be nonnegative")
     letters = tuple(alphabet)
     words = [()]
-    for length in range(1, maxlen + 1):
+    for length in range(1, maxlen + 1 if letters else 1):  # no letters: eps only
         words.extend(itertools.product(range(len(letters)), repeat=length))
         if len(words) > 10:
             raise ValueError("language carrier too large; shrink alphabet or maxlen")

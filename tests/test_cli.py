@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from semirings import cli, completion
-from semirings.core import (enumerate_semirings, is_orderable, is_zero_sum_free,
+from semirings.core import (FiniteSemiring, check_semiring_axioms,
+                            enumerate_semirings, is_orderable, is_zero_sum_free,
                             natural_quasiorder, semiring_to_json)
 from semirings.gallery import boolean, xor_semiring
 
@@ -494,3 +496,61 @@ def test_adjoin_inf_to_a_zero_sum_table_exits_two(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {path} is not zero-sum-free: 1+1 = 0\n"
+
+
+LAW_GALLERY = ["boolean", "three-valued", "four-valued",
+               *(f"powerset:{k}" for k in range(5)), *(f"lang:1:{L}" for L in range(7)),
+               *(f"lang:2:{L}" for L in range(3)), *(f"lang:3:{L}" for L in range(2))]
+
+
+def law_breaking_variant(s: FiniteSemiring, seed: int):
+    """s with one cell changed so that some semiring law fails: the first
+    such change in a seeded shuffle of every (table, row, column, value)
+    change.  None when every change keeps the laws (one element)."""
+    n = s.n
+    changes = [(name, i, j, v) for name in ("add", "mul") for i in range(n)
+               for j in range(n) for v in range(n) if getattr(s, name)[i][j] != v]
+    random.Random(seed).shuffle(changes)
+    for name, i, j, v in changes:
+        tables = {"add": [list(row) for row in s.add], "mul": [list(row) for row in s.mul]}
+        tables[name][i][j] = v
+        t = FiniteSemiring.from_tables(s.elements, s.zero, s.one,
+                                       tables["add"], tables["mul"])
+        if not check_semiring_axioms(t).passed:
+            return t
+    return None
+
+
+def law_command_transcript(workdir: Path) -> str:
+    """check, order, complete and one congruence pair, as JSON, on the
+    gallery members of LAW_GALLERY and on every table of size <= 3 with one
+    law-breaking variant of each: one header line per run, then its stdout,
+    its stderr and its exit code."""
+    inputs = list(LAW_GALLERY)
+    for i, s in enumerate(s for n in (1, 2, 3) for s in enumerate_semirings(n)):
+        (workdir / f"t{i}.json").write_text(semiring_to_json(s), encoding="utf-8")
+        inputs.append(f"t{i}.json")
+        broken = law_breaking_variant(s, i)
+        if broken is not None:
+            (workdir / f"t{i}-broken.json").write_text(semiring_to_json(broken),
+                                                       encoding="utf-8")
+            inputs.append(f"t{i}-broken.json")
+    out = io.StringIO()
+    for source in inputs:
+        s = cli._load_finite(source)[0]
+        top = s.label(s.n - 1)
+        for argv in (["check"], ["order"], ["complete"],
+                     ["congruence", f"1*[{top}]", f"2*[{top}]"]):
+            argv = [argv[0], source, *argv[1:], "--format", "json"]
+            print("$ " + " ".join(argv), file=out)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            print(err.getvalue() + f"exit {code}", file=out)
+    return out.getvalue()
+
+
+def test_law_commands_match_golden(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    want = (GOLDEN / "law_commands.txt").read_text(encoding="utf-8")
+    assert law_command_transcript(tmp_path) == want

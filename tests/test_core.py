@@ -1,11 +1,13 @@
 import functools
 import itertools
 import json
+import random
 
 import pytest
 
 from semirings.core import (CheckReport, FiniteSemiring, OpTable,
-                            PartialOrder, StructureError, _antisymmetry_witness,
+                            InternalConsistencyError, PartialOrder,
+                            StructureError, _antisymmetry_witness,
                             _comm_monoid_tables, _distributive_partners,
                             absorption_witness, all_partial_orders,
                             check_ordered_semiring, check_semiring_axioms,
@@ -14,7 +16,8 @@ from semirings.core import (CheckReport, FiniteSemiring, OpTable,
                             random_semiring, search_compatible_order,
                             semiring_from_json, semiring_law_violations,
                             semiring_to_json)
-from semirings.gallery import boolean, nat_desk, xor_semiring
+from semirings.gallery import (boolean, gallery_semiring, nat_desk,
+                               xor_semiring)
 
 
 # -- independent oracle: flat re-implementation of every law ----------------
@@ -505,3 +508,172 @@ def test_json_rejects_boolean_indices():
             semiring_from_json(json.dumps({**doc, key: True}))
     with pytest.raises(StructureError):
         semiring_from_json(json.dumps({**doc, "add": [[0, True], [1, 1]]}))
+
+
+# -- the row kernels against the generator engine they replaced --------------
+# The three functions below are the earlier law engine, one instance per
+# generator step.  The row kernels must return exactly their witnesses.
+
+def generator_law_violations(elements, add, mul, zero, one):
+    e = elements
+    laws = (
+        ("add-associativity",
+         ((a, b, c) for a in e for b in e for c in e
+          if add[add[a][b]][c] != add[a][add[b][c]])),
+        ("add-commutativity",
+         ((a, b) for a in e for b in e if add[a][b] != add[b][a])),
+        ("add-identity",
+         ((a,) for a in e if add[zero][a] != a or add[a][zero] != a)),
+        ("mul-associativity",
+         ((a, b, c) for a in e for b in e for c in e
+          if mul[mul[a][b]][c] != mul[a][mul[b][c]])),
+        ("mul-identity",
+         ((a,) for a in e if mul[one][a] != a or mul[a][one] != a)),
+        ("zero-absorption",
+         ((a,) for a in e if mul[zero][a] != zero or mul[a][zero] != zero)),
+        ("left-distributivity",
+         ((x, y, z) for x in e for y in e for z in e
+          if mul[x][add[y][z]] != add[mul[x][y]][mul[x][z]])),
+        ("right-distributivity",
+         ((x, y, z) for x in e for y in e for z in e
+          if mul[add[y][z]][x] != add[mul[y][x]][mul[z][x]])),
+    )
+    found = ((law, next(witnesses, None)) for law, witnesses in laws)
+    return [(law, witness) for law, witness in found if witness is not None]
+
+
+def generator_absorption_witness(elements, add):
+    for a in elements:
+        for x in elements:
+            ax = add[a][x]
+            if ax == a:
+                continue
+            for y in elements:
+                if add[ax][y] == a:
+                    return (a, x, y)
+    return None
+
+
+def generator_natural_quasiorder(s):
+    """The relation, or None where it is not reflexive and transitive."""
+    n = s.n
+    rel = tuple(tuple(any(s.add[a][x] == b for x in range(n)) for b in range(n))
+                for a in range(n))
+    reflexive = all(rel[i][i] for i in range(n))
+    transitive = all(rel[a][c] or not (rel[a][b] and rel[b][c])
+                     for a in range(n) for b in range(n) for c in range(n))
+    return rel if reflexive and transitive else None
+
+
+def assert_kernels_match_generators(s, order=None):
+    """Both routes of the law engine, absorption and the natural quasiorder
+    agree with the generator engine on s; the view route also runs over
+    the elements in `order`."""
+    rng = range(s.n)
+    want = generator_law_violations(rng, s.add, s.mul, s.zero, s.one)
+    assert semiring_law_violations(rng, s.add, s.mul, s.zero, s.one) == want
+    e = list(order or rng)
+    assert (semiring_law_violations(e, OpTable(s.plus), OpTable(s.times), s.zero, s.one)
+            == generator_law_violations(e, s.add, s.mul, s.zero, s.one))
+    assert absorption_witness(rng, s.add) == generator_absorption_witness(rng, s.add)
+    assert (absorption_witness(e, OpTable(s.plus))
+            == generator_absorption_witness(e, s.add))
+    rel = generator_natural_quasiorder(s)
+    if rel is None:
+        with pytest.raises(InternalConsistencyError):
+            natural_quasiorder(s)
+    else:
+        assert natural_quasiorder(s).rel == rel
+
+
+def test_row_kernels_match_generators_on_every_table_up_to_4():
+    tables = [s for n in (1, 2, 3, 4) for s in enumerate_semirings(n)]
+    assert len(tables) == 86
+    for s in tables:
+        assert_kernels_match_generators(s)
+
+
+def _chain_lattice(n):
+    """{0..n-1} with max and min: a bounded distributive lattice."""
+    add = tuple(tuple(max(i, j) for j in range(n)) for i in range(n))
+    mul = tuple(tuple(min(i, j) for j in range(n)) for i in range(n))
+    return FiniteSemiring(tuple(map(str, range(n))), 0, n - 1, add, mul)
+
+
+def perturbed_table(rnd, n):
+    """A semiring on n elements, relabelled at random, with 0 to 3 random
+    cells overwritten."""
+    bases = [nat_desk(n - 1), _chain_lattice(n)] if n > 1 else []
+    if n <= 4:
+        bases += enumerate_semirings(n)
+    base = rnd.choice(bases)
+    perm = list(range(n))
+    rnd.shuffle(perm)
+    tables = {}
+    for name in ("add", "mul"):
+        t = [[0] * n for _ in range(n)]
+        for i, row in enumerate(getattr(base, name)):
+            for j, v in enumerate(row):
+                t[perm[i]][perm[j]] = perm[v]
+        tables[name] = t
+    for _ in range(rnd.randrange(4)):
+        tables[rnd.choice(("add", "mul"))][rnd.randrange(n)][rnd.randrange(n)] = \
+            rnd.randrange(n)
+    return FiniteSemiring.from_tables(base.elements, perm[base.zero], perm[base.one],
+                                      tables["add"], tables["mul"])
+
+
+def test_row_kernels_match_generators_on_perturbed_tables():
+    rnd = random.Random(2002)
+    broken = unorderable = 0
+    for _ in range(3000):
+        s = perturbed_table(rnd, rnd.randint(1, 6))
+        order = list(range(s.n))
+        rnd.shuffle(order)
+        assert_kernels_match_generators(s, order)
+        broken += not check_semiring_axioms(s).passed
+        unorderable += absorption_witness(range(s.n), s.add) is not None
+    assert 1000 < broken < 3000 and unorderable > 100
+
+
+@pytest.mark.parametrize("name", ["nat", "nat-infinity", "omega-minus"])
+@pytest.mark.parametrize("k", [3, 5, 8])
+def test_row_kernels_match_generators_on_symbolic_samples(name, k):
+    # the member's own operations, then each with one planted wrong value
+    c = gallery_semiring(name)
+    e = c.sample(k)
+    rnd = random.Random(k)
+    broken = 0
+    for _ in range(10):
+        a, b, v = rnd.choice(e), rnd.choice(e), rnd.choice(e)
+        plant = lambda f: lambda x, y: v if (x, y) == (a, b) else f(x, y)  # noqa: E731
+        for p, t in ((c.plus, c.times), (plant(c.plus), c.times), (c.plus, plant(c.times))):
+            add, mul = OpTable(p), OpTable(t)
+            want = generator_law_violations(e, add, mul, c.zero, c.one)
+            assert semiring_law_violations(e, add, mul, c.zero, c.one) == want
+            assert absorption_witness(e, add) == generator_absorption_witness(e, add)
+            broken += bool(want)
+    assert broken > 5
+
+
+def test_row_kernels_match_generators_on_finite_gallery_members():
+    names = ["boolean", "three-valued", "four-valued",
+             *(f"powerset:{k}" for k in range(5)), *(f"lang:1:{L}" for L in range(6)),
+             "lang:2:0", "lang:2:1", "lang:3:0", "lang:3:1"]
+    for name in names:
+        member = gallery_semiring(name)
+        s = member if isinstance(member, FiniteSemiring) else member.base
+        assert s.n <= 64
+        assert_kernels_match_generators(s)
+
+
+def test_transitivity_masks_match_the_triple_loop():
+    rnd = random.Random(7)
+    for _ in range(2000):
+        n = rnd.randint(1, 6)
+        rel = tuple(tuple(i == j or rnd.random() < 0.4 for j in range(n))
+                    for i in range(n))
+        want = all(rel[a][c] or not (rel[a][b] and rel[b][c])
+                   for a in range(n) for b in range(n) for c in range(n))
+        assert is_partial_order(rel) == (want and _antisymmetry_witness(rel) is None)
+

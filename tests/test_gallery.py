@@ -69,6 +69,14 @@ def test_language_concatenation_and_truncation():
     assert c.times(la, laa) == c.zero
 
 
+def test_empty_alphabet_language_is_eps_whatever_maxlen():
+    # the word loop stops at the first length without words
+    big, small = language_semiring("", 3 * 10**6), language_semiring("", 0)
+    assert big.base == small.base and big.order == small.order
+    assert big.base.elements == ("{}", "{eps}")
+    assert big.sigma(CardinalFamily({big.one: ALEPH0})) == small.one
+
+
 def test_language_associativity_brute_force():
     c = language_semiring("a", 2)
     n = c.base.n
