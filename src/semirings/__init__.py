@@ -22,7 +22,6 @@ from .gallery import (NInfElement, OmegaMinusElement, adjoin_infinity, boolean,
                       nat_infinity, omega_plus_reverse, powerset_semiring,
                       search_distributivity_violation, three_valued)
 from .series import (Polynomial, TruncatedSeries, embed_e, enumerate_below,
-                     evaluate_phi, pointwise_leq, poly_from_text, poly_to_text,
-                     series_d_complete_check)
+                     evaluate_phi, pointwise_leq, poly_from_text, poly_to_text)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

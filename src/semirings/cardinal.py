@@ -218,12 +218,6 @@ def family_from_json(c, text: str) -> CardinalFamily:
     return CardinalFamily(mult)
 
 
-def family_to_json(c, f: CardinalFamily) -> str:
-    return json.dumps(
-        {"family": {c.label_of(v): m.label() for v, m in f.items()}},
-        sort_keys=True)
-
-
 def omega_sequence_from_json(c, text: str) -> OmegaSequence:
     """Parse {"prefix": [labels...], "cycle": [labels...]}."""
     try:

@@ -2,24 +2,21 @@
 semiring's carrier: the raw objects of the completion construction.
 
 Words are tuples of carrier indices.  Polynomials carry exact natural-number
-coefficients with finite support; truncated series carry coefficients in the
-naturals-with-infinity and identify all words longer than the bound with a
-discarded ideal (consistent: a product is overlong iff every extension is).
-Both, and the series over an arbitrary Sigma-semiring at the end, share one
-coefficientwise sum and one length-truncated Cauchy product.
+coefficients with finite support and are the one arithmetic type: a
+coefficientwise sum and the Cauchy product.  Truncated series carry
+coefficients in the naturals-with-infinity on words up to a length bound;
+they only bound the polynomials below them from above.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 import re
 
-from .core import CheckReport, FiniteSemiring
-from .cardinal import CardinalFamily, OmegaSequence, SigmaSemiring, nfold
-from .gallery import (NINF_INF, NINF_ZERO, NInfElement, ninf, ninf_add,
-                      ninf_mul)
+from .core import FiniteSemiring
+from .cardinal import nfold
+from .gallery import NINF_ZERO, NInfElement, ninf, ninf_add
 
 Word = tuple
 
@@ -28,84 +25,17 @@ def word_key(w: Word):
     return (len(w), w)
 
 
-def word_sum(x: dict, y: dict, add) -> dict:
-    """Coefficientwise sum of two word -> coefficient maps."""
-    d = dict(x)
-    for w, c in y.items():
-        d[w] = add(d[w], c) if w in d else c
-    return d
+def _terms(coeffs: dict, word_text) -> str:
+    """The terms 'c*<word_text(w)>' in shortlex word order, joined by
+    ' + '; empty for no terms."""
+    return " + ".join(f"{coeffs[w]!r}*{word_text(w)}"
+                      for w in sorted(coeffs, key=word_key))
 
 
-def cauchy_product(x: dict, y: dict, add, mul, maxlen=None) -> dict:
-    """Cauchy product of two word -> coefficient maps: the coefficient of w
-    sums mul(x(u), y(v)) over w = uv.  Words longer than maxlen are dropped
-    (None: no bound)."""
-    d = {}
-    for u, cu in x.items():
-        for v, cv in y.items():
-            w = u + v
-            if maxlen is None or len(w) <= maxlen:
-                c = mul(cu, cv)
-                d[w] = add(d[w], c) if w in d else c
-    return d
-
-
-class _WordMap:
-    """A finitely supported word -> coefficient map with no zero entries.
-
-    Each subclass fixes the coefficients (`_zero`, `_add`, `_mul`) and the
-    length bound `maxlen` (None: unbounded), and validates in its
-    constructor; the arithmetic, equality and hashing are shared."""
-
-    __slots__ = ("coeffs",)
-
-    def get(self, w: Word):
-        return self.coeffs.get(w, self._zero)
-
-    def support(self):
-        return sorted(self.coeffs, key=word_key)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def _result(self, other, coeffs):
-        """The map of this kind with the given coefficients, computed from
-        this map and `other`, which must share the length bound."""
-        if self.maxlen != other.maxlen:
-            raise ValueError("series have different maxlen")
-        if self.maxlen is None:
-            return type(self)(coeffs)
-        return type(self)(self.maxlen, coeffs)
-
-    def __add__(self, other):
-        return self._result(other, word_sum(self.coeffs, other.coeffs, self._add))
-
-    def __mul__(self, other):
-        return self._result(other, cauchy_product(self.coeffs, other.coeffs, self._add,
-                                                  self._mul, self.maxlen))
-
-    def __eq__(self, other):
-        return (type(other) is type(self) and self.maxlen == other.maxlen
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-
-def _terms(x: _WordMap, word_text) -> str:
-    """The terms 'c*<word_text(w)>' of x in shortlex word order, joined by
-    ' + '; empty for the zero map."""
-    return " + ".join(f"{x.coeffs[w]!r}*{word_text(w)}" for w in x.support())
-
-
-class Polynomial(_WordMap):
+class Polynomial:
     """Finitely supported word -> positive-integer coefficient map."""
 
-    __slots__ = ()
-    _zero = 0
-    _add = staticmethod(operator.add)
-    _mul = staticmethod(operator.mul)
-    maxlen = None
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
         items = coeffs.items() if hasattr(coeffs, "items") else coeffs
@@ -117,8 +47,36 @@ class Polynomial(_WordMap):
                 d[tuple(w)] = d.get(tuple(w), 0) + c
         self.coeffs = d
 
+    def get(self, w: Word) -> int:
+        return self.coeffs.get(w, 0)
+
+    def support(self):
+        return sorted(self.coeffs, key=word_key)
+
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        d = dict(self.coeffs)
+        for w, c in other.coeffs.items():
+            d[w] = d.get(w, 0) + c
+        return Polynomial(d)
+
+    def __mul__(self, other: "Polynomial") -> "Polynomial":
+        """The Cauchy product: the coefficient of w sums p(u) * q(v) over
+        w = uv."""
+        d = {}
+        for u, cu in self.coeffs.items():
+            for v, cv in other.coeffs.items():
+                w = u + v
+                d[w] = d.get(w, 0) + cu * cv
+        return Polynomial(d)
+
+    def __eq__(self, other):
+        return type(other) is Polynomial and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(frozenset(self.coeffs.items()))
+
     def __repr__(self):
-        return f"Poly({_terms(self, list) or 0})"
+        return f"Poly({_terms(self.coeffs, list) or 0})"
 
 
 POLY_ZERO = Polynomial()
@@ -145,19 +103,11 @@ def evaluate_phi(p: Polynomial, s: FiniteSemiring) -> int:
     return acc
 
 
-def cauchy_coefficient_by_factorizations(p: Polynomial, q: Polynomial, w: Word) -> int:
-    """Direct sum over all factorizations w = uv; independent of the
-    accumulation in the product implementation."""
-    return sum(p.get(w[:i]) * q.get(w[i:]) for i in range(len(w) + 1))
+class TruncatedSeries:
+    """Length-truncated power series with naturals-with-infinity coefficients,
+    read only as an upper bound on the polynomials below it."""
 
-
-class TruncatedSeries(_WordMap):
-    """Length-truncated power series with naturals-with-infinity coefficients."""
-
-    __slots__ = ("maxlen",)
-    _zero = NINF_ZERO
-    _add = staticmethod(ninf_add)
-    _mul = staticmethod(ninf_mul)
+    __slots__ = ("maxlen", "coeffs")
 
     def __init__(self, maxlen: int, coeffs=()):
         if maxlen < 0:
@@ -175,16 +125,11 @@ class TruncatedSeries(_WordMap):
         self.maxlen = maxlen
         self.coeffs = d
 
-    @classmethod
-    def from_polynomial(cls, p: Polynomial, maxlen: int) -> "TruncatedSeries":
-        return cls(maxlen, {w: ninf(c) for w, c in p.coeffs.items()})
-
-    def truncate(self, maxlen: int) -> "TruncatedSeries":
-        return TruncatedSeries(maxlen, {w: c for w, c in self.coeffs.items()
-                                        if len(w) <= maxlen})
+    def get(self, w: Word) -> NInfElement:
+        return self.coeffs.get(w, NINF_ZERO)
 
     def __repr__(self):
-        return f"Series(maxlen={self.maxlen}; {_terms(self, list) or 0})"
+        return f"Series(maxlen={self.maxlen}; {_terms(self.coeffs, list) or 0})"
 
 
 def pointwise_leq(x, y) -> bool:
@@ -192,7 +137,7 @@ def pointwise_leq(x, y) -> bool:
     (some t with x + t = y) because coefficients live in an ordered chain."""
     if isinstance(x, Polynomial) and isinstance(y, TruncatedSeries):
         return all(ninf(c) <= y.get(w) for w, c in x.coeffs.items())
-    if isinstance(x, _WordMap) and type(x) is type(y):
+    if isinstance(x, (Polynomial, TruncatedSeries)) and type(x) is type(y):
         return all(c <= y.get(w) for w, c in x.coeffs.items())
     raise TypeError(f"cannot compare {type(x).__name__} with {type(y).__name__}")
 
@@ -225,147 +170,25 @@ def enumerate_below_series(r: TruncatedSeries, cap: int):
 
 
 # ---------------------------------------------------------------------------
-# text forms: 2*[a] + 1*[b.c] + 3*[] for polynomials; series add inf*
-# coefficients and a maxlen=<L>; header
+# text form: 2*[a] + 1*[b.c] + 3*[]
 
 _TERM_RE = re.compile(r"^\s*(?:(inf|\d+)\s*\*\s*)?\[([^\]]*)\]\s*$")
 
 
-def _text(x: _WordMap, s: FiniteSemiring) -> str:
-    return _terms(x, lambda w: f"[{'.'.join(s.label(i) for i in w)}]") or "0*[]"
+def poly_to_text(p: Polynomial, s: FiniteSemiring) -> str:
+    return _terms(p.coeffs, lambda w: f"[{'.'.join(s.label(i) for i in w)}]") or "0*[]"
 
 
-def _parse_terms(text: str, s: FiniteSemiring, kind: str, coefficient) -> list:
-    """(word, coefficient) per '+'-separated term; `coefficient` reads the
-    coefficient text ('inf', digits, or None when it is left out)."""
+def poly_from_text(text: str, s: FiniteSemiring) -> Polynomial:
     terms = []
     for chunk in text.split("+"):
         m = _TERM_RE.match(chunk)
         if m is None:
-            raise ValueError(f"cannot parse {kind} term {chunk.strip()!r}")
+            raise ValueError(f"cannot parse polynomial term {chunk.strip()!r}")
         coeff, body = m.groups()
-        c = coefficient(coeff)
+        if coeff == "inf":
+            raise ValueError("polynomials cannot carry an inf coefficient")
         body = body.strip()
         w = tuple(s.index_of(part.strip()) for part in body.split(".")) if body else ()
-        terms.append((w, c))
-    return terms
-
-
-def _natural(coeff):
-    if coeff == "inf":
-        raise ValueError("polynomials cannot carry an inf coefficient")
-    return 1 if coeff is None else int(coeff)
-
-
-def poly_to_text(p: Polynomial, s: FiniteSemiring) -> str:
-    return _text(p, s)
-
-
-def poly_from_text(text: str, s: FiniteSemiring) -> Polynomial:
-    return Polynomial(_parse_terms(text, s, "polynomial", _natural))
-
-
-def series_to_text(r: TruncatedSeries, s: FiniteSemiring) -> str:
-    return f"maxlen={r.maxlen}; {_text(r, s)}"
-
-
-def series_from_text(text: str, s: FiniteSemiring) -> TruncatedSeries:
-    head, _, rest = text.partition(";")
-    head = head.strip()
-    if not head.startswith("maxlen="):
-        raise ValueError("series text must start with 'maxlen=<L>;'")
-    maxlen = int(head[len("maxlen="):])
-    return TruncatedSeries(maxlen, _parse_terms(
-        rest, s, "series", lambda t: NINF_INF if t == "inf" else ninf(_natural(t))))
-
-
-# ---------------------------------------------------------------------------
-# series over an arbitrary Sigma-semiring of coefficients (d-completeness lift)
-
-def series_semiring(coeff: SigmaSemiring, alphabet_size: int, maxlen: int) -> SigmaSemiring:
-    """Truncated power series with coefficients in an arbitrary semiring with
-    infinite sums; Sigma is computed coefficientwise (the only choice
-    compatible with pointwise addition).  An element is the sorted tuple of
-    its (word, nonzero coefficient) pairs."""
-    words = [()]
-    for length in range(1, maxlen + 1):
-        words.extend(itertools.product(range(alphabet_size), repeat=length))
-
-    def canonical(d: dict) -> tuple:
-        return tuple(sorted((w, c) for w, c in d.items() if c != coeff.zero))
-
-    zero = ()
-    one = canonical({(): coeff.one})
-
-    def plus(x, y):
-        return canonical(word_sum(dict(x), dict(y), coeff.plus))
-
-    def times(x, y):
-        return canonical(cauchy_product(dict(x), dict(y), coeff.plus, coeff.times,
-                                        maxlen))
-
-    def sigma(f: CardinalFamily):
-        support = sorted({w for r, _ in f.items() for w, _ in r}, key=word_key)
-        out = []
-        for w in support:
-            coeff_fam = CardinalFamily((dict(r).get(w, coeff.zero), mult)
-                                       for r, mult in f.items())
-            out.append((w, coeff.sigma(coeff_fam)))
-        return canonical(dict(out))
-
-    def sample(k):
-        elems = coeff.sample(3)
-        nonzero = [e for e in elems if e != coeff.zero] or elems
-        singles = [canonical({w: e}) for w in words[:3] for e in nonzero]
-        pairs = [plus(singles[i], singles[(i + 1) % len(singles)])
-                 for i in range(min(3, len(singles)))]
-        return ([zero, one] + singles + pairs)[:max(2, k)]
-
-    def contains(v):
-        return (isinstance(v, tuple)
-                and all(isinstance(it, tuple) and len(it) == 2
-                        and len(it[0]) <= maxlen and coeff.contains(it[1])
-                        for it in v))
-
-    def leq(x, y):
-        # coefficientwise; keys absent from x compare as zero, the least element
-        dy = dict(y)
-        return all(coeff.leq(c, dy.get(w, coeff.zero)) for w, c in x)
-
-    return SigmaSemiring(
-        f"series({coeff.name},k={alphabet_size},L={maxlen})",
-        zero=zero,
-        one=one,
-        plus=plus,
-        times=times,
-        sigma_fn=sigma,
-        leq=(leq if coeff.has_order else None),
-        sample=sample,
-        contains=contains,
-        label=repr,
-        carrier_bound=16,
-    )
-
-
-def series_d_complete_check(coeff: SigmaSemiring, alphabet_size: int,
-                            maxlen: int, seed: int = 0, count: int = 60) -> CheckReport:
-    """Run the discrete-convergence battery on series with the given
-    coefficients; base-carrier sequences are lifted onto the empty-word
-    coefficient so a base failure reproduces verbatim."""
-    from .cardinal import is_d_complete, omega_sequence_battery
-
-    sr = series_semiring(coeff, alphabet_size, maxlen)
-    seqs = list(omega_sequence_battery(sr, seed, count))
-
-    def lift(v):
-        return (((), v),) if v != coeff.zero else ()
-
-    for base_seq in omega_sequence_battery(coeff, seed, count // 2):
-        seqs.append(OmegaSequence(tuple(lift(v) for v in base_seq.prefix),
-                                  tuple(lift(v) for v in base_seq.cycle)))
-    ok, witness = is_d_complete(sr, seqs)
-    if ok:
-        return CheckReport.build([])
-    return CheckReport.build([("series-d-complete", (witness.sequence,
-                                                     witness.constant,
-                                                     witness.sigma_value))])
+        terms.append((w, 1 if coeff is None else int(coeff)))
+    return Polynomial(terms)

@@ -6,6 +6,7 @@ perfbench/: the harness modules are loaded from their files under private
 module names, and nothing there is changed or installed.
 """
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -49,6 +50,34 @@ def test_suite_has_the_traced_criteria():
 
 def test_workloads_module_imports():
     assert callable(_load("workloads").congruence_inputs)
+
+
+def _tree(name: str) -> ast.Module:
+    return ast.parse((PERFBENCH / f"{name}.py").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("harness", ["workloads", "worker", "selfcheck"])
+def test_every_harness_import_resolves(harness):
+    imports = [(node.module, alias.name) for node in ast.walk(_tree(harness))
+               if isinstance(node, ast.ImportFrom) and node.module
+               and node.module.split(".")[0] == "semirings"
+               for alias in node.names]
+    assert imports
+    for mod_name, name in imports:
+        module = importlib.import_module(mod_name)
+        # `from semirings import cli` names a submodule
+        assert (hasattr(module, name)
+                or importlib.util.find_spec(f"{mod_name}.{name}")), f"{mod_name}.{name}"
+
+
+def test_every_module_attribute_selfcheck_touches_exists():
+    touched = {(node.value.id, node.attr) for node in ast.walk(_tree("selfcheck"))
+               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+               and node.value.id in ("series", "completion")}
+    assert {mod for mod, _ in touched} == {"series", "completion"}
+    for mod, name in sorted(touched):
+        module = importlib.import_module(f"semirings.{mod}")
+        assert hasattr(module, name), f"semirings.{mod}.{name}"
 
 
 # perfbench/workloads.py builds series sides as TruncatedSeries(2, {...})
