@@ -563,10 +563,13 @@ def omega_sequence_battery(c: SigmaSemiring, seed: int, count: int):
 @dataclass(frozen=True)
 class FinitaryWitness:
     family: CardinalFamily
-    reason: str  # "sup-missing" | "sup-differs"
     sigma_value: object
+    sup_status: str  # SupResult.status
     sup_value: object | None = None
-    sup_status: str | None = None
+
+    @property
+    def reason(self) -> str:
+        return "sup-differs" if self.sup_status == "exists" else "sup-missing"
 
 
 def is_finitary(c: SigmaSemiring, fams):
@@ -576,10 +579,8 @@ def is_finitary(c: SigmaSemiring, fams):
     for f in fams:
         sig = c.sigma(f)
         sup = family_sup(c, f)
-        if sup.status != "exists":
-            return False, FinitaryWitness(f, "sup-missing", sig, None, sup.status)
-        if sup.value != sig:
-            return False, FinitaryWitness(f, "sup-differs", sig, sup.value, sup.status)
+        if sup.status != "exists" or sup.value != sig:
+            return False, FinitaryWitness(f, sig, sup.status, sup.value)
     return True, None
 
 
@@ -708,7 +709,6 @@ def _sigma_axiom_violations(c: SigmaSemiring, seed: int, families: int):
 class CharacteristicCardinality:
     lambda1: Cardinal
     lambdaS: Cardinal
-    caveat: bool  # lambdaS was computed over a bounded family space
 
 
 def _stabilization_index(values, ladder):
@@ -732,18 +732,6 @@ def characteristic_cardinality(c: SigmaSemiring) -> CharacteristicCardinality:
     ladder = [fin(k) for k in range(_LADDER_BOUND + 1)] + [ALEPH0, UNCOUNTABLE]
     ones = [c.sigma(CardinalFamily({c.one: k})) for k in ladder]
     lambda1 = _stabilization_index(ones, ladder)
-
-    # orbit of the multiples of one: a fixed point inside the window makes
-    # the finite part of the ladder exact rather than truncated
-    cur = c.zero
-    fixed = False
-    for _ in range(_LADDER_BOUND + 1):
-        nxt = c.plus(cur, c.one)
-        if nxt == cur:
-            fixed = True
-            break
-        cur = nxt
-    caveat = not fixed
 
     # Families over a support of one or two sample values, with
     # multiplicities given as positions 0..5 on the ladder.  The subfamilies
@@ -773,7 +761,7 @@ def characteristic_cardinality(c: SigmaSemiring) -> CharacteristicCardinality:
         raise InternalConsistencyError(
             f"lambdaS bound violated on {c.name}: {worst!r} > "
             f"max({lambda1!r}, {carrier_card!r})")
-    return CharacteristicCardinality(lambda1, worst, caveat)
+    return CharacteristicCardinality(lambda1, worst)
 
 
 def _size_key(m):

@@ -41,7 +41,10 @@ class NotFinitaryError(ValueError):
 class LesssimHalf:
     holds: bool | None  # None = inconclusive under the coefficient cap
     witness: Polynomial | None = None
-    inconclusive: bool = False
+
+    @property
+    def inconclusive(self) -> bool:
+        return self.holds is None
 
 
 @dataclass(frozen=True)
@@ -49,11 +52,20 @@ class CongruenceVerdict:
     lesssim_forward: bool | None
     lesssim_backward: bool | None
     witness: Polynomial | None
-    inconclusive: bool = False
+
+    @property
+    def inconclusive(self) -> bool:
+        return self.lesssim_forward is None or self.lesssim_backward is None
 
     @property
     def sim(self) -> bool:
         return bool(self.lesssim_forward) and bool(self.lesssim_backward)
+
+
+def down_set(values, s: FiniteSemiring, o) -> frozenset:
+    """The carrier elements below some element of `values`, read through
+    o.leq alone: each a in A lies below some b in B iff A <= down_set(B)."""
+    return frozenset(x for x in range(s.n) if any(o.leq(x, v) for v in values))
 
 
 def _below(x, cap: int):
@@ -65,17 +77,17 @@ def _below(x, cap: int):
 
 
 def _lesssim_brute(p_list, q_list, s, o) -> LesssimHalf:
-    q_values = [evaluate_phi(q1, s) for q1 in q_list]
+    below_q = down_set({evaluate_phi(q1, s) for q1 in q_list}, s, o)
     for p1 in p_list:
-        vp = evaluate_phi(p1, s)
-        if not any(o.leq(vp, vq) for vq in q_values):
+        if evaluate_phi(p1, s) not in below_q:
             return LesssimHalf(False, p1)
-    return LesssimHalf(True, None)
+    return LesssimHalf(True)
 
 
 def lesssim(p, q, s: FiniteSemiring, o: PartialOrder, cap: int = 3) -> LesssimHalf:
-    """Brute-force precongruence check: every polynomial below p must be
-    dominated (after evaluation) by some polynomial below q.
+    """Brute-force precongruence check: the value of every polynomial below
+    p must lie in the down_set of the values below q; the witness is the
+    first polynomial below p, in enumeration order, whose value does not.
 
     For polynomial arguments the verdict is exact and additionally compared
     against the reduced criterion phi(p) <= phi(q); a disagreement would
@@ -97,7 +109,7 @@ def lesssim(p, q, s: FiniteSemiring, o: PartialOrder, cap: int = 3) -> LesssimHa
     lo = _lesssim_brute(_below(p, cap - 1), _below(q, cap - 1), s, o)
     hi = _lesssim_brute(_below(p, cap), _below(q, cap), s, o)
     if lo.holds != hi.holds:
-        return LesssimHalf(None, None, True)
+        return LesssimHalf(None)
     return hi
 
 
@@ -105,8 +117,7 @@ def sim_verdict(p, q, s: FiniteSemiring, o: PartialOrder, cap: int = 3) -> Congr
     fwd = lesssim(p, q, s, o, cap)
     bwd = lesssim(q, p, s, o, cap)
     witness = fwd.witness if fwd.witness is not None else bwd.witness
-    return CongruenceVerdict(fwd.holds, bwd.holds, witness,
-                             fwd.inconclusive or bwd.inconclusive)
+    return CongruenceVerdict(fwd.holds, bwd.holds, witness)
 
 
 def _random_poly(rng, s, max_support=3, max_len=2, max_coeff=2) -> Polynomial:
@@ -257,12 +268,10 @@ def universal_property_check(s: FiniteSemiring, o: PartialOrder,
     if not ok:
         raise NotFinitaryError(f"{t.name} is not finitary: {wit}")
 
-    completion = completion_of_finite(s, o, seed=seed,
-                                      families=max(40, families // 3),
-                                      sequences=30)
+    completion = completion_semiring(s, o)
     violations = []
-    for fam in family_battery(completion.semiring, seed, families):
-        lhs = f_map[completion.semiring.sigma(fam)]
+    for fam in family_battery(completion, seed, families):
+        lhs = f_map[completion.sigma(fam)]
         rhs = t.sigma(fam.map_keys(lambda v: f_map[v]))
         if lhs != rhs:
             violations.append(("universal-sigma-preservation", (fam, lhs, rhs)))

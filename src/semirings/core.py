@@ -108,17 +108,15 @@ class PartialOrder(QuasiOrder):
 class CheckReport:
     """Outcome of a law battery: passed iff the violation list is empty."""
 
-    passed: bool
     violations: tuple[tuple[str, tuple], ...]
 
-    def __post_init__(self):
-        if self.passed != (len(self.violations) == 0):
-            raise InternalConsistencyError("CheckReport passed flag inconsistent")
+    @property
+    def passed(self) -> bool:
+        return not self.violations
 
     @classmethod
     def build(cls, violations) -> "CheckReport":
-        v = tuple(violations)
-        return cls(not v, v)
+        return cls(tuple(violations))
 
     @classmethod
     def first_per_law(cls, found) -> "CheckReport":

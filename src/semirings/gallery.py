@@ -337,13 +337,16 @@ def omega_plus_reverse() -> SigmaSemiring:
     finite chain 1, 2, 3, ... has no least upper bound, because the upper
     bounds inf-1 > inf-2 > ... descend forever."""
 
+    def multiple(v: OmegaMinusElement, k: int) -> OmegaMinusElement:
+        """k * v: finite values scale, and two copies of inf-j reach inf."""
+        return omega_fin(v.key * k) if v.rank == 0 else (OMEGA_ZERO, v, OMEGA_INF)[min(k, 2)]
+
     def sigma(f: CardinalFamily) -> OmegaMinusElement:
         if not f.total_multiplicity(skip=OMEGA_ZERO).is_finite:
             return OMEGA_INF
         acc = OMEGA_ZERO
         for v, m in f.items():
-            for _ in range(m.n):
-                acc = omega_add(acc, v)
+            acc = omega_add(acc, multiple(v, m.n))
         return acc
 
     return SigmaSemiring(
@@ -388,15 +391,22 @@ def adjoin_infinity(s: FiniteSemiring) -> SigmaSemiring:
     mul.append([inf if j != s.zero else s.zero for j in range(n)] + [inf])
     base = FiniteSemiring.from_tables(s.elements + (label,), s.zero, s.one, add, mul)
 
+    def multiple(v: int, k: int) -> int:
+        """k * v read off the orbit 0, v, 2v, ..., which cycles from its
+        first repeat on."""
+        orbit = [base.zero]
+        while (nxt := base.plus(orbit[-1], v)) not in orbit:
+            orbit.append(nxt)
+        start = orbit.index(nxt)
+        return orbit[k if k < start else start + (k - start) % (len(orbit) - start)]
+
     def sigma(f: CardinalFamily) -> int:
-        if any(v == inf for v, _ in f.items()):
-            return inf
-        if not f.total_multiplicity(skip=s.zero).is_finite:
+        if (any(v == inf for v, _ in f.items())
+                or not f.total_multiplicity(skip=s.zero).is_finite):
             return inf
         acc = base.zero
         for v, m in f.items():
-            for _ in range(m.n):
-                acc = base.plus(acc, v)
+            acc = base.plus(acc, multiple(v, m.n))
         return acc
 
     orderable, w = is_orderable(base)

@@ -16,7 +16,8 @@ from .cardinal import (ALEPH0, UNCOUNTABLE, characteristic_cardinality,
                        family_battery, is_d_complete, is_finitary,
                        omega_sequence_battery)
 from .cardinal import check_sigma_axioms as sigma_axiom_battery
-from .completion import completion_of_finite, no_universal_complete_demo
+from .completion import (completion_of_finite, down_set,
+                         no_universal_complete_demo)
 from .core import (FiniteSemiring, OpTable, absorption_witness,
                    check_semiring_axioms, enumerate_semirings, is_orderable,
                    is_zero_sum_free, search_compatible_order,
@@ -229,31 +230,15 @@ def _collapse_holds_exhaustively(s: FiniteSemiring, o) -> tuple[bool, int]:
     """p ~ q iff phi(p) = phi(q), checked through brute-force enumeration of
     the polynomials below each side.
 
-    The two-sided comparison of p and q depends only on (phi(p), the phi
-    image of the below-set of p) and likewise for q, so grouping the
-    universe by that signature covers every pair exactly."""
-    phi = {}
+    p ~ q iff the down_sets of the values below p and below q are equal,
+    so comparing the signatures (phi(p), that down-set) covers every pair
+    exactly.  The universe is closed under going below, so phi has them all."""
     universe = _poly_universe(s)
-    for p in universe:
-        phi[p] = evaluate_phi(p, s)
-    sigs = {}
-    for p in universe:
-        below_vals = frozenset(phi[q] if q in phi else evaluate_phi(q, s)
-                               for q in enumerate_below(p))
-        sig = (phi[p], below_vals)
-        sigs.setdefault(sig, 0)
-        sigs[sig] += 1
-
-    def half(a_vals, b_vals):
-        return all(any(o.leq(x, y) for y in b_vals) for x in a_vals)
-
-    sig_list = sorted(sigs, key=repr)
-    for sa in sig_list:
-        for sb in sig_list:
-            sim = half(sa[1], sb[1]) and half(sb[1], sa[1])
-            if sim != (sa[0] == sb[0]):
-                return False, len(universe)
-    return True, len(universe)
+    phi = {p: evaluate_phi(p, s) for p in universe}
+    sigs = {(phi[p], down_set({phi[q] for q in enumerate_below(p)}, s, o))
+            for p in universe}
+    holds = all((da == db) == (va == vb) for va, da in sigs for vb, db in sigs)
+    return holds, len(universe)
 
 
 def criterion_main_theorem(cfg: SuiteConfig, ctx=None) -> CriterionResult:

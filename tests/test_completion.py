@@ -22,6 +22,7 @@ from semirings.gallery import (NINF_INF, boolean, four_valued,
                                language_semiring, nat_desk, nat_infinity, ninf,
                                powerset_semiring, xor_semiring)
 from semirings.series import (POLY_ZERO, Polynomial, TruncatedSeries,
+                              enumerate_below, enumerate_below_series,
                               evaluate_phi)
 
 
@@ -100,6 +101,78 @@ def test_lesssim_series_cap_disagreement_is_inconclusive():
     q = TruncatedSeries(1, {(1,): ninf(2)})
     half = lesssim(r, q, s, o, cap=3)
     assert half.inconclusive and half.holds is None
+
+
+def _list_half(p_list, q_list, s, o):
+    """The list-based half that the down-set test replaced, kept as its
+    oracle: each polynomial below p scans every value below q, duplicates
+    included, for one above its own."""
+    q_values = [evaluate_phi(q1, s) for q1 in q_list]
+    for p1 in p_list:
+        vp = evaluate_phi(p1, s)
+        if not any(o.leq(vp, vq) for vq in q_values):
+            return False, p1
+    return True, None
+
+
+def _oracle_lesssim(p, q, s, o, cap=3):
+    """(holds, witness, inconclusive) as the list-based half gives them."""
+    def below(x, k):
+        if isinstance(x, Polynomial):
+            return enumerate_below(x)
+        return enumerate_below_series(x, k)
+
+    if isinstance(p, Polynomial) and isinstance(q, Polynomial):
+        return (*_list_half(below(p, cap), below(q, cap), s, o), False)
+    lo = _list_half(below(p, cap - 1), below(q, cap - 1), s, o)
+    hi = _list_half(below(p, cap), below(q, cap), s, o)
+    return (None, None, True) if lo[0] != hi[0] else (*hi, False)
+
+
+def _random_series(rng, s) -> TruncatedSeries:
+    coeffs = {tuple(rng.randrange(s.n) for _ in range(rng.randrange(3))):
+              rng.choice((ninf(1), ninf(2), ninf(4), NINF_INF))
+              for _ in range(rng.randrange(1, 4))}
+    return TruncatedSeries(2, coeffs)
+
+
+def test_lesssim_matches_the_list_based_oracle():
+    rng = random.Random(12)
+    seen = {"holds": 0, "witness": 0, "inconclusive": 0}
+    for s, o in _ordered_pairs_up_to_4():
+        sides = [completion._random_poly(rng, s, max_coeff=3) for _ in range(4)]
+        sides += [_random_series(rng, s) for _ in range(3)]
+        for _ in range(14):
+            p, q = rng.choice(sides), rng.choice(sides)
+            half = lesssim(p, q, s, o)
+            want = _oracle_lesssim(p, q, s, o)
+            assert (half.holds, half.witness, half.inconclusive) == want, (s, o, p, q)
+            seen["holds" if half.holds else "inconclusive" if half.inconclusive
+                 else "witness"] += 1
+    assert min(seen.values()) > 0, seen
+
+
+class _CountingOrder:
+    def __init__(self, order):
+        self.order, self.calls = order, 0
+
+    def leq(self, a, b):
+        self.calls += 1
+        return self.order.leq(a, b)
+
+
+def test_lesssim_with_a_late_dominator_compares_each_element_once():
+    # below q, the first polynomial of value 1 comes after the 3001 of value
+    # 0, so the list-based half made 3002 comparisons for each of the 300
+    # polynomials of value 1 below p; the down-set test makes n * n, plus
+    # the reduced criterion's one
+    s = boolean()
+    _, o = is_orderable(s)
+    p, q = Polynomial({(1,): 300}), Polynomial({(1,): 1, (0, 0): 3000})
+    assert [evaluate_phi(q1, s) for q1 in enumerate_below(q)].index(1) == 3001
+    counting = _CountingOrder(o)
+    assert lesssim(p, q, s, counting) == completion.LesssimHalf(True)
+    assert counting.calls <= s.n * s.n + 1
 
 
 def test_congruence_battery_on_ordered_semirings():

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from semirings.core import (CheckReport, FiniteSemiring, OpTable,
+from semirings.core import (FiniteSemiring, OpTable,
                             InternalConsistencyError, PartialOrder,
                             StructureError, _antisymmetry_witness,
                             _comm_monoid_tables, _distributive_partners,
@@ -392,11 +392,6 @@ def test_check_ordered_rejects_inverted_boolean_order():
     report = check_ordered_semiring(boolean(), o)
     assert not report.passed
     assert "zero-least" in report.law_names()
-
-
-def test_check_report_invariant():
-    with pytest.raises(Exception):
-        CheckReport(passed=True, violations=(("x", (1,)),))
 
 
 def test_json_roundtrip():

@@ -7,7 +7,7 @@ import pytest
 
 from semirings import cli
 from semirings.cardinal import (ALEPH0, CardinalFamily, FIN1,
-                                UNCOUNTABLE, check_sigma_axioms, fin)
+                                UNCOUNTABLE, check_sigma_axioms, fin, nfold)
 from semirings.core import (OpTable, absorption_witness, check_semiring_axioms,
                             enumerate_semirings, is_orderable, is_zero_sum_free,
                             semiring_law_violations)
@@ -173,6 +173,39 @@ def test_adjoin_infinity_embeds_finite_part():
 def test_adjoin_infinity_refuses_zero_sums():
     with pytest.raises(ZeroSumError):
         adjoin_infinity(xor_semiring())
+
+
+def test_adjoin_infinity_sigma_reads_multiples_off_the_orbit():
+    # some orbits 0, v, 2v, ... cycle with a period above one, so k * v is
+    # read off the cycle; every answer matches the doubling fold
+    periods = set()
+    for s in (s for n in (1, 2, 3, 4) for s in enumerate_semirings(n)):
+        if not is_zero_sum_free(s)[0]:
+            continue
+        c = adjoin_infinity(s)
+        for v in range(c.base.n):
+            orbit = [c.zero]
+            while (nxt := c.plus(orbit[-1], v)) not in orbit:
+                orbit.append(nxt)
+            periods.add(len(orbit) - orbit.index(nxt))
+            for k in [*range(9), 10 ** 9, 10 ** 9 + 1, 10 ** 9 + 2]:
+                assert c.sigma(CardinalFamily({v: fin(k)})) == nfold(
+                    c.plus, c.zero, v, k), (s.add, v, k)
+    assert max(periods) > 1
+
+
+def test_huge_finite_multiplicities_sum_at_once():
+    big = fin(10 ** 9)
+    c = omega_plus_reverse()
+    assert c.sigma(CardinalFamily({omega_fin(3): big})) == omega_fin(3 * 10 ** 9)
+    assert c.sigma(CardinalFamily({omega_inf_minus(2): big})) == OMEGA_INF
+    assert c.sigma(CardinalFamily({omega_inf_minus(2): FIN1,
+                                   omega_fin(1): big})) == OMEGA_INF
+    assert c.sigma(CardinalFamily({omega_inf_minus(5): FIN1,
+                                   omega_fin(0): big})) == omega_inf_minus(5)
+    d = adjoin_infinity(nat_desk(3))
+    assert d.sigma(CardinalFamily({1: big})) == 3
+    assert d.sigma(CardinalFamily({0: big})) == 0
 
 
 def test_distributivity_search_empty_on_cancellative_pool():
