@@ -7,10 +7,10 @@ from .cardinal import (ALEPH0, Cardinal, CardinalFamily, CharacteristicCardinali
                        characteristic_cardinality, check_sigma_axioms, fin,
                        finite_subsums, is_d_complete, is_finitary,
                        sup_in_order)
-from .completion import (CompletionResult, CongruenceVerdict,
+from .completion import (CompletionResult, CongruenceVerdict, collapse_holds,
                          completion_of_finite, lesssim,
-                         no_universal_complete_demo, sim_congruence_battery,
-                         sim_verdict, universal_property_check)
+                         no_universal_complete_demo, sim_verdict,
+                         universal_property_check)
 from .core import (CheckReport, FiniteSemiring, PartialOrder, QuasiOrder,
                    check_ordered_semiring, check_semiring_axioms,
                    enumerate_semirings, is_orderable, is_zero_sum_free,

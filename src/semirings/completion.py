@@ -1,12 +1,12 @@
 """The finitary completion of a finite ordered semiring, the polynomial
-precongruence and congruence that build it, the uniqueness of the finitary
-Sigma, the universal property, and the negative result about completing
-against all complete semirings at once.
+precongruence and congruence that build it, the congruence's collapse onto
+the carrier decided over every polynomial from value signatures, the
+uniqueness of the finitary Sigma, the universal property, and the negative
+result about completing against all complete semirings at once.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .core import (CheckReport, FiniteSemiring, InternalConsistencyError,
@@ -16,8 +16,8 @@ from .cardinal import (ALEPH0, CardinalFamily, SigmaSemiring, UNCOUNTABLE,
                        family_battery, is_d_complete, is_finitary,
                        omega_sequence_battery, top_subsum)
 from .gallery import four_valued, nat_infinity
-from .series import (Polynomial, TruncatedSeries, enumerate_below,
-                     enumerate_below_series, evaluate_phi)
+from .series import (POLY_ZERO, Polynomial, TruncatedSeries, embed_e,
+                     enumerate_below, enumerate_below_series, evaluate_phi)
 
 
 class NotOrderableError(ValueError):
@@ -120,63 +120,44 @@ def sim_verdict(p, q, s: FiniteSemiring, o: PartialOrder, cap: int = 3) -> Congr
     return CongruenceVerdict(fwd.holds, bwd.holds, witness)
 
 
-def _random_poly(rng, s, max_support=3, max_len=2, max_coeff=2) -> Polynomial:
-    coeffs = {}
-    for _ in range(rng.randrange(max_support + 1)):
-        w = tuple(rng.randrange(s.n) for _ in range(rng.randrange(max_len + 1)))
-        coeffs[w] = rng.randrange(1, max_coeff + 1)
-    return Polynomial(coeffs)
+def value_signatures(s: FiniteSemiring) -> dict:
+    """The signature (phi(p), V(p)) of every polynomial p, V(p) being the
+    set of phi-values of the polynomials below p, each mapped to a sum of
+    one-letter words that has it.
+
+    The closure of (0, {0}) under (v, V) -> (v + a, V | (V + a)) for each
+    carrier element a: one step adds one unit of the word [a], a word w
+    acts like the letter phi(w), and every polynomial is a sum of such
+    units, so the closure holds exactly the signatures of all polynomials."""
+    sigs = {(s.zero, frozenset({s.zero})): POLY_ZERO}
+    todo = list(sigs)
+    for v, values in todo:
+        for a in range(s.n):
+            sig = (s.plus(v, a), values | {s.plus(x, a) for x in values})
+            if sig not in sigs:
+                sigs[sig] = sigs[(v, values)] + embed_e(a)
+                todo.append(sig)
+    return sigs
 
 
-def sim_congruence_battery(s: FiniteSemiring, o: PartialOrder,
-                           seed: int = 0, triples: int = 300) -> CheckReport:
-    """Seeded evidence that the two-sided precongruence is an equivalence,
-    is compatible with addition and the Cauchy product, and collapses
-    polynomial classes onto carrier elements (p ~ q iff phi(p) = phi(q))."""
-    return CheckReport.first_per_law(_sim_congruence_violations(s, o, seed, triples))
+def collapse_holds(s: FiniteSemiring, o) -> tuple[bool, int]:
+    """The main theorem's collapse, p ~ q iff phi(p) = phi(q), over every
+    polynomial, and the number of signatures that decide it.
 
-
-def _sim_congruence_violations(s: FiniteSemiring, o: PartialOrder,
-                               seed: int, triples: int):
-    """Yield (law, witness) for every failed instance, in battery order."""
-    rng = random.Random(seed)
-
-    def related(p, q):
-        return sim_verdict(p, q, s, o).sim
-
-    polys = [_random_poly(rng, s) for _ in range(max(12, triples // 10))]
-    by_value = {}
-    for p in polys:
-        by_value.setdefault(evaluate_phi(p, s), []).append(p)
-
-    for _ in range(triples):
-        p, q, r = (rng.choice(polys) for _ in range(3))
-        if not related(p, p):
-            yield "sim-reflexive", (p,)
-        pq, qp = related(p, q), related(q, p)
-        if pq != qp:
-            yield "sim-symmetric", (p, q)
-        if pq and related(q, r) and not related(p, r):
-            yield "sim-transitive", (p, q, r)
-
-    congruent_pairs = []
-    for group in by_value.values():
-        for i in range(len(group) - 1):
-            congruent_pairs.append((group[i], group[i + 1]))
-    rng.shuffle(congruent_pairs)
-    for (p, p2), (q, q2) in zip(congruent_pairs, reversed(congruent_pairs)):
-        if not related(p, p2) or not related(q, q2):
-            yield "sim-collapse", (p, p2)
-            continue
-        if not related(p + q, p2 + q2):
-            yield "sim-congruence-add", (p, p2, q, q2)
-        if not related(p * q, p2 * q2):
-            yield "sim-congruence-mul", (p, p2, q, q2)
-
-    for _ in range(triples // 3):
-        p, q = rng.choice(polys), rng.choice(polys)
-        if related(p, q) != (evaluate_phi(p, s) == evaluate_phi(q, s)):
-            yield "sim-collapse", (p, q)
+    p ~ q iff the down_sets of V(p) and V(q) are equal, so comparing the
+    pairs (phi(p), down_set(V(p))) by equality over the reachable
+    signatures covers every pair of polynomials.  Each signature is first
+    checked against the below-set of the polynomial that has it; a
+    disagreement would falsify the closure, so it aborts the run."""
+    sigs = value_signatures(s)
+    for (v, values), p in sigs.items():
+        below = {evaluate_phi(q, s) for q in enumerate_below(p)}
+        if evaluate_phi(p, s) != v or below != values:
+            raise InternalConsistencyError(
+                f"signature ({v}, {sorted(values)}) is not that of {p!r}")
+    pairs = {(v, down_set(values, s, o)) for v, values in sigs}
+    holds = all((da == db) == (va == vb) for va, da in pairs for vb, db in pairs)
+    return holds, len(sigs)
 
 
 # ---------------------------------------------------------------------------

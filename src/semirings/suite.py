@@ -16,14 +16,12 @@ from .cardinal import (ALEPH0, UNCOUNTABLE, characteristic_cardinality,
                        family_battery, is_d_complete, is_finitary,
                        omega_sequence_battery)
 from .cardinal import check_sigma_axioms as sigma_axiom_battery
-from .completion import (completion_of_finite, down_set,
+from .completion import (collapse_holds, completion_of_finite,
                          no_universal_complete_demo)
-from .core import (FiniteSemiring, OpTable, absorption_witness,
-                   check_semiring_axioms, enumerate_semirings, is_orderable,
-                   is_zero_sum_free, search_compatible_order,
-                   semiring_law_violations)
+from .core import (OpTable, absorption_witness, check_semiring_axioms,
+                   enumerate_semirings, is_orderable, is_zero_sum_free,
+                   search_compatible_order, semiring_law_violations)
 from .gallery import adjoin_infinity, boolean, search_distributivity_violation
-from .series import Polynomial, enumerate_below, evaluate_phi
 
 
 @dataclass(frozen=True)
@@ -210,37 +208,6 @@ def criterion_fact_implications(cfg: SuiteConfig, ctx=None) -> CriterionResult:
 
 # --- criterion 6 -----------------------------------------------------------
 
-def _poly_universe(s: FiniteSemiring):
-    """All polynomials with support <= 2, coefficients <= 2, over words of
-    length <= 2."""
-    words = [()]
-    words += [(a,) for a in range(s.n)]
-    words += [(a, b) for a in range(s.n) for b in range(s.n)]
-    polys = [Polynomial()]
-    for i, w in enumerate(words):
-        for c in (1, 2):
-            polys.append(Polynomial({w: c}))
-            for w2 in words[i + 1:]:
-                for c2 in (1, 2):
-                    polys.append(Polynomial({w: c, w2: c2}))
-    return polys
-
-
-def _collapse_holds_exhaustively(s: FiniteSemiring, o) -> tuple[bool, int]:
-    """p ~ q iff phi(p) = phi(q), checked through brute-force enumeration of
-    the polynomials below each side.
-
-    p ~ q iff the down_sets of the values below p and below q are equal,
-    so comparing the signatures (phi(p), that down-set) covers every pair
-    exactly.  The universe is closed under going below, so phi has them all."""
-    universe = _poly_universe(s)
-    phi = {p: evaluate_phi(p, s) for p in universe}
-    sigs = {(phi[p], down_set({phi[q] for q in enumerate_below(p)}, s, o))
-            for p in universe}
-    holds = all((da == db) == (va == vb) for va, da in sigs for vb, db in sigs)
-    return holds, len(universe)
-
-
 def criterion_main_theorem(cfg: SuiteConfig, ctx=None) -> CriterionResult:
     problems = []
     ordered = 0
@@ -257,10 +224,10 @@ def criterion_main_theorem(cfg: SuiteConfig, ctx=None) -> CriterionResult:
             problems.append(f"completion battery failed on n={s.n} "
                             f"{result.finitary_report.law_names()}")
             continue
-        holds, size = _collapse_holds_exhaustively(s, wit)
+        holds, size = collapse_holds(s, wit)
         if not holds:
             problems.append(f"congruence collapse failed on n={s.n} "
-                            f"({size} polynomials)")
+                            f"({size} signatures)")
     detail = (f"completion + unique-sigma + exhaustive congruence collapse on "
               f"{ordered} ordered semirings of size <= 3"
               + (f"; problems: {problems[:3]}" if problems else ""))

@@ -158,3 +158,23 @@ def test_sim_verdict_reads_the_order_through_leq_alone():
         assert (completion.sim_verdict(p, q, s, counting)
                 == completion.sim_verdict(p, q, s, order))
         assert counting.n > 0
+
+
+def test_the_selftest_still_reaches_the_below_set_enumerator(monkeypatch):
+    # the traced selftest-cold run fails when a layer it expects records
+    # no calls; there, criterion 6's collapse check is the one caller of
+    # enumerate_below, looked up on `completion`
+    expected = _load("run").EXPECTED_LAYERS["selftest-cold"]
+    assert "series.enumerate_below" in expected
+    completion = importlib.import_module("semirings.completion")
+    suite = importlib.import_module("semirings.suite")
+    calls = []
+    real = completion.enumerate_below
+
+    def spy(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(completion, "enumerate_below", spy)
+    assert suite.criterion_main_theorem(suite.SuiteConfig()).passed
+    assert calls

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -7,12 +8,12 @@ from semirings import completion
 from semirings.cardinal import (ALEPH0, CardinalFamily, FIN1, SigmaSemiring,
                                 UNCOUNTABLE, family_battery, fin,
                                 finite_subsums, is_finitary)
-from semirings.completion import (CongruenceVerdict, EmbeddingError,
-                                  NotFinitaryError, NotOrderableError,
-                                  completion_of_finite, lesssim,
-                                  no_universal_complete_demo,
-                                  sim_congruence_battery, sim_verdict,
-                                  universal_property_check)
+from semirings.completion import (EmbeddingError, NotFinitaryError,
+                                  NotOrderableError, collapse_holds,
+                                  completion_of_finite, down_set, lesssim,
+                                  no_universal_complete_demo, sim_verdict,
+                                  universal_property_check,
+                                  value_signatures)
 from semirings.core import (FiniteSemiring, InternalConsistencyError,
                             PartialOrder, _comm_monoid_tables,
                             _distributive_partners, all_partial_orders,
@@ -129,6 +130,14 @@ def _oracle_lesssim(p, q, s, o, cap=3):
     return (None, None, True) if lo[0] != hi[0] else (*hi, False)
 
 
+def _random_poly(rng, s, max_support=3, max_len=2, max_coeff=2) -> Polynomial:
+    coeffs = {}
+    for _ in range(rng.randrange(max_support + 1)):
+        w = tuple(rng.randrange(s.n) for _ in range(rng.randrange(max_len + 1)))
+        coeffs[w] = rng.randrange(1, max_coeff + 1)
+    return Polynomial(coeffs)
+
+
 def _random_series(rng, s) -> TruncatedSeries:
     coeffs = {tuple(rng.randrange(s.n) for _ in range(rng.randrange(3))):
               rng.choice((ninf(1), ninf(2), ninf(4), NINF_INF))
@@ -140,7 +149,7 @@ def test_lesssim_matches_the_list_based_oracle():
     rng = random.Random(12)
     seen = {"holds": 0, "witness": 0, "inconclusive": 0}
     for s, o in _ordered_pairs_up_to_4():
-        sides = [completion._random_poly(rng, s, max_coeff=3) for _ in range(4)]
+        sides = [_random_poly(rng, s, max_coeff=3) for _ in range(4)]
         sides += [_random_series(rng, s) for _ in range(3)]
         for _ in range(14):
             p, q = rng.choice(sides), rng.choice(sides)
@@ -175,33 +184,14 @@ def test_lesssim_with_a_late_dominator_compares_each_element_once():
     assert counting.calls <= s.n * s.n + 1
 
 
-def test_congruence_battery_on_ordered_semirings():
-    for s, o in list(ordered_semirings_up_to_3())[:6]:
-        assert sim_congruence_battery(s, o, seed=7, triples=60).passed
+# -- the congruence collapse --------------------------------------------------------
 
-
-def test_congruence_battery_keeps_first_witness_per_law(monkeypatch):
-    # a deliberately wrong relation in place of the precongruence verdict
-    def fake_verdict(p, q, s, o, cap=3):
-        sim = (len(repr(p)) * 7 + len(repr(q))) % 5 != 0
-        return CongruenceVerdict(sim, sim, None)
-
-    monkeypatch.setattr(completion, "sim_verdict", fake_verdict)
-    s = boolean()
-    _, o = is_orderable(s)
-    two = Polynomial({(): 2})
-    assert sim_congruence_battery(s, o, seed=4, triples=60).violations == (
-        ("sim-reflexive", (two,)),
-        ("sim-transitive", (two, Polynomial({(): 1, (1, 1): 1}), two)),
-        ("sim-symmetric", (Polynomial({(1,): 2}), Polynomial({(): 1, (1,): 1}))),
-        ("sim-collapse", (Polynomial({(0, 1): 2, (1, 1): 2}), two)),
-    )
-
-
-def test_collapse_law_brute_force_over_boolean():
-    s = boolean()
-    _, o = is_orderable(s)
-    words = [(), (0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]
+def _poly_universe(s):
+    """All polynomials with support <= 2, coefficients <= 2, over words of
+    length <= 2: the bounded universe the collapse used to be checked on."""
+    words = [()]
+    words += [(a,) for a in range(s.n)]
+    words += [(a, b) for a in range(s.n) for b in range(s.n)]
     polys = [POLY_ZERO]
     for i, w in enumerate(words):
         for c in (1, 2):
@@ -209,10 +199,78 @@ def test_collapse_law_brute_force_over_boolean():
             for w2 in words[i + 1:]:
                 for c2 in (1, 2):
                     polys.append(Polynomial({w: c, w2: c2}))
-    for p in polys:
-        for q in polys:
+    return polys
+
+
+def _enumerated_signature(p, s):
+    """(phi(p), the phi-values below p), through the below-set enumerator."""
+    below = frozenset(evaluate_phi(q, s) for q in enumerate_below(p))
+    return evaluate_phi(p, s), below
+
+
+def _collapse_over(signatures, s, o) -> bool:
+    """The enumerating collapse: p ~ q iff phi(p) = phi(q) for every pair
+    of polynomials with these signatures."""
+    pairs = {(v, down_set(values, s, o)) for v, values in signatures}
+    return all((da == db) == (va == vb) for va, da in pairs for vb, db in pairs)
+
+
+def test_value_signatures_cover_the_bounded_universe():
+    pairs = [(s, o) for s, o in _ordered_pairs_up_to_4() if s.n <= 3]
+    assert len(pairs) == 6
+    sizes = {}
+    for s, o in pairs:
+        polys = _poly_universe(s)
+        universe = {_enumerated_signature(p, s) for p in polys}
+        reachable = value_signatures(s)
+        assert universe <= reachable.keys(), (s, o)
+        want = (_collapse_over(universe, s, o), len(reachable))
+        assert collapse_holds(s, o) == want, (s, o)
+        sizes[len(polys)] = len(reachable)
+    assert sizes == {19: 1, 99: 2, 339: 4}
+
+
+def test_each_value_signature_is_realised_by_its_one_letter_sum():
+    tables = {(s.add, s.mul): s for s, _ in _ordered_pairs_up_to_4()}
+    for s in tables.values():
+        for sig, p in value_signatures(s).items():
+            assert all(len(w) == 1 for w in p.support()), p
+            assert _enumerated_signature(p, s) == sig, (s, p)
+
+
+def test_collapse_holds_on_every_ordered_table_up_to_4():
+    pairs = _ordered_pairs_up_to_4()
+    assert len(pairs) == 73
+    sizes = set()
+    for s, o in pairs:
+        holds, size = collapse_holds(s, o)
+        assert holds, (s, o)
+        sizes.add(size)
+    assert max(sizes) == 8
+
+
+def test_collapse_refuses_a_signature_its_polynomial_does_not_have(monkeypatch):
+    s = boolean()
+    _, o = is_orderable(s)
+    # one unit of [1] has 0 and 1 below it, not 1 alone
+    planted = {(0, frozenset({0})): POLY_ZERO,
+               (1, frozenset({1})): Polynomial({(1,): 1})}
+    monkeypatch.setattr(completion, "value_signatures", lambda s: planted)
+    with pytest.raises(InternalConsistencyError, match="is not that of"):
+        collapse_holds(s, o)
+
+
+def test_collapse_law_brute_force_over_boolean():
+    # every pair of the bounded universe on boolean and on the one-point
+    # table, and seeded pairs on the four orderable tables of size 3
+    rng = random.Random(13)
+    for s, o in ordered_semirings_up_to_3():
+        polys = _poly_universe(s)
+        pairs = (itertools.product(polys, repeat=2) if s.n <= 2
+                 else [(rng.choice(polys), rng.choice(polys)) for _ in range(300)])
+        for p, q in pairs:
             assert sim_verdict(p, q, s, o).sim == (evaluate_phi(p, s)
-                                                   == evaluate_phi(q, s))
+                                                   == evaluate_phi(q, s)), (s, p, q)
 
 
 # -- the completion ----------------------------------------------------------------
@@ -241,16 +299,15 @@ def _greatest_subsum_sigma(s, o):
     return sigma_fn
 
 
+@functools.cache
 def _ordered_pairs_up_to_4():
     """Every semiring of size <= 4 with each compatible order."""
     tables = [s for n in (1, 2, 3) for s in enumerate_semirings(n)]
     tables += [FiniteSemiring(("0", "1", "2", "3"), 0, 1, add, mul)
                for add in _comm_monoid_tables(4)
                for mul in _distributive_partners(4, add)]
-    for s in tables:
-        for o in all_partial_orders(s.n):
-            if check_ordered_semiring(s, o).passed:
-                yield s, o
+    return tuple((s, o) for s in tables for o in all_partial_orders(s.n)
+                 if check_ordered_semiring(s, o).passed)
 
 
 def test_completion_sigma_matches_the_greatest_subsum_oracle():

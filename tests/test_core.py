@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from semirings.completion import collapse_holds
 from semirings.core import (FiniteSemiring, OpTable,
                             InternalConsistencyError, PartialOrder,
                             StructureError, _antisymmetry_witness,
@@ -438,10 +439,11 @@ def _relabel(t, perm):
 def test_orderability_criteria_agree_on_every_size5_semiring():
     # antisymmetry of the natural quasiorder, the absorption criterion and
     # the compatible-order search, on one addition table per orbit of the
-    # relabellings that fix 0 and 1; isomorphic semirings agree on all three
+    # relabellings that fix 0 and 1; isomorphic semirings agree on all three.
+    # Each orderable one also passes the congruence collapse
     perms = [(0, 1, *p) for p in itertools.permutations(range(2, 5))]
     labels = ("0", "1", "a", "b", "c")
-    reps = semirings = orderable = 0
+    reps = semirings = orderable = collapsed = 0
     for add in _comm_monoid_tables(5):
         orbit = {_relabel(add, p) for p in perms}
         if add != min(orbit):
@@ -454,10 +456,14 @@ def test_orderability_criteria_agree_on_every_size5_semiring():
             absorb = absorption_witness(range(5), s.add) is None
             found = search_compatible_order(s).status
             assert found != "inconclusive"
-            assert anti == absorb == (found == "found") == is_orderable(s)[0]
+            ok, order = is_orderable(s)
+            assert anti == absorb == (found == "found") == ok
+            if ok:
+                assert collapse_holds(s, order)[0]
+                collapsed += 1
             semirings += len(orbit)
             orderable += len(orbit) * anti
-    assert (reps, semirings, orderable) == (277, 1719, 1446)
+    assert (reps, semirings, orderable, collapsed) == (277, 1719, 1446, 266)
 
 
 def _search_cases():

@@ -50,3 +50,10 @@ def test_criteria_without_a_pass_match_the_pass():
     results = run_criteria(CFG)
     assert criterion_classification(CFG) == results[3]
     assert criterion_fact_implications(CFG) == results[4]
+
+
+def test_a_failed_collapse_counts_its_signatures(monkeypatch):
+    monkeypatch.setattr(suite, "collapse_holds", lambda s, o: (False, 4))
+    result = suite.criterion_main_theorem(CFG)
+    assert not result.passed
+    assert "congruence collapse failed on n=3 (4 signatures)" in result.detail
