@@ -20,7 +20,7 @@ from .core import (CheckReport, FiniteSemiring, PartialOrder, QuasiOrder,
 from .gallery import (NInfElement, OmegaMinusElement, adjoin_infinity, boolean,
                       four_valued, gallery_semiring, language_semiring,
                       nat_infinity, omega_plus_reverse, powerset_semiring,
-                      search_distributivity_violation, three_valued)
+                      three_valued)
 from .series import (Polynomial, TruncatedSeries, embed_e, enumerate_below,
                      evaluate_phi, pointwise_leq, poly_from_text, poly_to_text)
 

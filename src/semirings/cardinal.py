@@ -199,14 +199,18 @@ class OmegaSequence:
                               + [(v, ALEPH0) for v in self.cycle])
 
 
-def family_from_json(c, text: str) -> CardinalFamily:
-    """Parse {"family": {"<element label>": "fin:3"|"aleph0"|"uncountable"}}."""
+def _load_json(text: str):
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise StructureError(f"invalid JSON: {e.msg}") from None
     except RecursionError:
         raise StructureError("invalid JSON: nested too deeply") from None
+
+
+def family_from_json(c, text: str) -> CardinalFamily:
+    """Parse {"family": {"<element label>": "fin:3"|"aleph0"|"uncountable"}}."""
+    doc = _load_json(text)
     if not isinstance(doc, dict) or not isinstance(doc.get("family"), dict):
         raise StructureError('expected an object with a "family" mapping')
     mult = {}
@@ -220,12 +224,7 @@ def family_from_json(c, text: str) -> CardinalFamily:
 
 def omega_sequence_from_json(c, text: str) -> OmegaSequence:
     """Parse {"prefix": [labels...], "cycle": [labels...]}."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise StructureError(f"invalid JSON: {e.msg}") from None
-    except RecursionError:
-        raise StructureError("invalid JSON: nested too deeply") from None
+    doc = _load_json(text)
     if (not isinstance(doc, dict) or not isinstance(doc.get("cycle"), list)
             or not isinstance(doc.get("prefix", []), list)):
         raise StructureError('expected {"prefix": [...], "cycle": [...]}')
@@ -627,7 +626,8 @@ def _split_cardinal(rng, m: Cardinal):
 
 def check_sigma_axioms(c: SigmaSemiring, seed: int, families: int) -> CheckReport:
     """Generator-based battery for the five infinite-sum axioms, with
-    `families` seeded random families.
+    `families` seeded random families, then infinite distributivity for
+    every sample element over every sample singleton {a: aleph0}.
 
     Partitions are exercised through two-block multiplicity splits and
     block repetition (kappa disjoint copies of a block), the shapes every
@@ -686,20 +686,32 @@ def _sigma_axiom_violations(c: SigmaSemiring, seed: int, families: int):
         if lhs != rhs:
             yield "sigma-partition-repetition", (f, kappa, lhs, rhs)
 
-        x = rng.choice(sample)
-        left = c.times(x, total)
-        left_dist = sigma(f.map_keys(lambda v: c.times(x, v)))
-        if left != left_dist:
-            yield "sigma-distributivity-left", (x, f, left, left_dist)
-        right = c.times(total, x)
-        right_dist = sigma(f.map_keys(lambda v: c.times(v, x)))
-        if right != right_dist:
-            yield "sigma-distributivity-right", (x, f, right, right_dist)
+        yield from _distributivity_violations(c, sigma, rng.choice(sample), f, total)
 
     for kappa in kappas[1:]:
         zf = CardinalFamily({c.zero: kappa})
         if sigma(zf) != c.zero:
             yield "sigma-zero", (kappa, sigma(zf))
+
+    # Exhaustive over the sample: x against every singleton {a: aleph0}.
+    # With infinity adjoined, Sigma of a family with infinite nonzero
+    # support is inf, so any failing family implies a failing singleton.
+    # Last in the battery, so it can only add witnesses, never displace one.
+    singletons = [CardinalFamily({a: ALEPH0}) for a in sample]
+    for x in sample:
+        for f in singletons:
+            yield from _distributivity_violations(c, sigma, x, f, sigma(f))
+
+
+def _distributivity_violations(c: SigmaSemiring, sigma, x, f: CardinalFamily, total):
+    """Yield the left and right infinite-distributivity failures of x over
+    the family f, whose Sigma is total."""
+    for side, times in (("left", lambda v: c.times(x, v)),
+                        ("right", lambda v: c.times(v, x))):
+        product = times(total)
+        distributed = sigma(f.map_keys(times))
+        if product != distributed:
+            yield f"sigma-distributivity-{side}", (x, f, product, distributed)
 
 
 # ---------------------------------------------------------------------------

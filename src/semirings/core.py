@@ -596,9 +596,9 @@ def semiring_from_json(text: str):
     if (not isinstance(elements, list) or not elements
             or not all(isinstance(x, str) for x in elements)):
         raise StructureError("elements must be a non-empty list of strings")
+    # an index is an int and not a bool: true is not an index
     for key in ("zero", "one"):
-        # bool is a subclass of int, but true is not an index
-        if not isinstance(doc[key], int) or isinstance(doc[key], bool):
+        if type(doc[key]) is not int:
             raise StructureError(f"{key} must be an integer index")
     for key in ("add", "mul"):
         t = doc[key]
@@ -613,5 +613,7 @@ def semiring_from_json(text: str):
         if not isinstance(pairs, list) or not all(
                 isinstance(p, list) and len(p) == 2 for p in pairs):
             raise StructureError("order must be a list of [i, j] pairs")
+        if not all(type(i) is int for p in pairs for i in p):
+            raise StructureError("order pairs must hold integer indices")
         order = PartialOrder.from_pairs(s.n, [tuple(p) for p in pairs])
     return s, order

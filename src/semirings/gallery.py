@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 
 from .core import FiniteSemiring, PartialOrder, is_orderable, is_zero_sum_free
-from .cardinal import ALEPH0, CardinalFamily, SigmaSemiring, UNCOUNTABLE
+from .cardinal import CardinalFamily, SigmaSemiring, UNCOUNTABLE
 
 
 class ZeroSumError(ValueError):
@@ -412,43 +412,6 @@ def adjoin_infinity(s: FiniteSemiring) -> SigmaSemiring:
     orderable, w = is_orderable(base)
     order = w if orderable else None
     return SigmaSemiring.from_finite(f"adjoin-inf:{len(s.elements)}", base, sigma, order)
-
-
-@dataclass(frozen=True)
-class DistributivityWitness:
-    semiring: FiniteSemiring
-    element: int
-    family: CardinalFamily
-    side: str  # "left" | "right"
-    product_of_sum: int
-    sum_of_products: int
-
-
-def search_distributivity_violation(pool):
-    """Scan adjoined-infinity semirings for a failure of the infinite
-    distributivity law; all other Sigma axioms survive the adjunction, this
-    one need not.  Expected witness shape: a zero divisor times an infinite
-    family of its annihilator."""
-    for s in pool:
-        ok, _ = is_zero_sum_free(s)
-        if not ok:
-            continue
-        t = adjoin_infinity(s)
-        families = [CardinalFamily({a: ALEPH0}) for a in range(t.base.n)
-                    if a != t.zero]
-        families += [CardinalFamily({a: ALEPH0, b: ALEPH0})
-                     for a in range(t.base.n) for b in range(a + 1, t.base.n)
-                     if a != t.zero and b != t.zero]
-        sides = (("left", t.times), ("right", lambda a, b: t.times(b, a)))
-        for x in range(t.base.n):
-            for f in families:
-                total = t.sigma(f)
-                for side, times in sides:
-                    lhs = times(x, total)
-                    rhs = t.sigma(f.map_keys(lambda v: times(x, v)))
-                    if lhs != rhs:
-                        return DistributivityWitness(s, x, f, side, lhs, rhs)
-    return None
 
 
 # ---------------------------------------------------------------------------

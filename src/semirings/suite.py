@@ -21,7 +21,7 @@ from .completion import (collapse_holds, completion_of_finite,
 from .core import (OpTable, absorption_witness, check_semiring_axioms,
                    enumerate_semirings, is_orderable, is_zero_sum_free,
                    search_compatible_order, semiring_law_violations)
-from .gallery import adjoin_infinity, boolean, search_distributivity_violation
+from .gallery import adjoin_infinity, boolean
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,10 @@ class CriterionResult:
 
 
 class _Pass:
-    """What one suite pass shares: one list of the Sigma members, and the
-    classifications, keyed by member object and cfg (not by name: criterion
-    5 adjoins infinity to five tables, all named adjoin-inf:3)."""
+    """What one suite pass shares: one list of the Sigma members, the
+    (table, adjunction) pairs of the zero-sum-free size-3 tables, which
+    criteria 5 and 7 both use, and the classifications, keyed by member
+    object and cfg (not by name: the adjunctions are all named adjoin-inf:3)."""
 
     def __init__(self):
         self.members = [
@@ -56,6 +57,11 @@ class _Pass:
             adjoin_infinity(boolean()),
         ]
         self.classify = functools.cache(_classify)
+
+    @functools.cached_property
+    def adjunctions(self):
+        return [(s, adjoin_infinity(s)) for s in enumerate_semirings(3)
+                if is_zero_sum_free(s)[0]]
 
 
 def _size3_semirings():
@@ -178,12 +184,7 @@ def criterion_classification(cfg: SuiteConfig, ctx=None) -> CriterionResult:
 
 def criterion_fact_implications(cfg: SuiteConfig, ctx=None) -> CriterionResult:
     ctx = ctx or _Pass()
-    members = list(ctx.members)
-    extra = 0
-    for s in _size3_semirings():
-        if s.n == 3 and is_zero_sum_free(s)[0] and extra < 15:
-            members.append(adjoin_infinity(s))
-            extra += 1
+    members = ctx.members + [t for _, t in ctx.adjunctions]
     counterexamples = []
     for m in members:
         d_ok, _, f_ok, _, lam = ctx.classify(m, cfg)
@@ -201,7 +202,7 @@ def criterion_fact_implications(cfg: SuiteConfig, ctx=None) -> CriterionResult:
             counterexamples.append(
                 f"{m.name}: finite, d-complete, small characteristic, not finitary")
     detail = (f"four implications over {len(members)} members (gallery plus "
-              f"{extra + 1} infinity adjunctions)"
+              f"{len(ctx.adjunctions) + 1} infinity adjunctions)"
               + (f"; counterexamples: {counterexamples}" if counterexamples else ""))
     return CriterionResult(5, "fact-implications", not counterexamples, detail)
 
@@ -238,25 +239,24 @@ def criterion_main_theorem(cfg: SuiteConfig, ctx=None) -> CriterionResult:
 
 def criterion_adjunction_caveat(cfg: SuiteConfig, ctx=None) -> CriterionResult:
     problems = []
-    pool = [s for s in enumerate_semirings(3) if is_zero_sum_free(s)[0]]
-    with_divisors = [s for s in pool
-                     if any(s.mul[x][a] == s.zero
-                            for x in range(1, s.n) for a in range(1, s.n)
-                            if x != s.zero and a != s.zero)]
-    witness = search_distributivity_violation(with_divisors)
+    runs = [(s, t, sigma_axiom_battery(t, cfg.seed, max(60, cfg.families // 8)))
+            for s, t in (ctx or _Pass()).adjunctions]
+    with_divisors = [(t, rep) for s, t, rep in runs
+                     if any(s.mul[x][a] == s.zero for x in range(s.n)
+                            for a in range(s.n) if s.zero not in (x, a))]
+    witness = next(((t, law, w) for t, rep in with_divisors
+                    for law, w in rep.violations
+                    if law.startswith("sigma-distributivity")), None)
     if witness is None:
         problems.append("no infinite-distributivity violation found")
     else:
-        t = adjoin_infinity(witness.semiring)
-        total = t.sigma(witness.family)
-        replay = (t.times(witness.element, total) if witness.side == "left"
-                  else t.times(total, witness.element))
-        if replay != witness.product_of_sum:
+        t, law, (x, f, product_of_sum, _) = witness
+        total = t.sigma(f)
+        replay = t.times(x, total) if law.endswith("left") else t.times(total, x)
+        if replay != product_of_sum:
             problems.append("witness replay did not reproduce the inequality")
     clean = 0
-    for s in pool[:20]:
-        rep = sigma_axiom_battery(adjoin_infinity(s), cfg.seed,
-                                  max(60, cfg.families // 8))
+    for _, _, rep in runs:
         bad = [name for name in rep.law_names()
                if not name.startswith("sigma-distributivity")]
         if bad:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -16,11 +17,15 @@ from semirings.core import (FiniteSemiring, check_semiring_axioms,
 from semirings.gallery import boolean, xor_semiring
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(args):
+    # the child runs this checkout's package, installed or not
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "semirings.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def write_boolean(tmp_path: Path) -> Path:
@@ -249,6 +254,17 @@ def test_boolean_zero_index_exits_two(tmp_path, capsys):
     path.write_text(json.dumps({**doc, "zero": True}), encoding="utf-8")
     assert cli.main(["check", str(path)]) == 2
     assert "zero must be an integer index" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("order", [[[0, "a"]], [[0.5, 1]], [[True, 1]]])
+def test_non_integer_order_entry_exits_two(tmp_path, capsys, order):
+    path = tmp_path / "order.json"
+    doc = json.loads(semiring_to_json(boolean()))
+    path.write_text(json.dumps({**doc, "order": order}), encoding="utf-8")
+    assert cli.main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: order pairs must hold integer indices\n"
 
 
 def test_finitary_huge_multiplicity_exits_two(tmp_path, capsys):

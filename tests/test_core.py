@@ -405,9 +405,14 @@ def test_json_roundtrip():
 
 
 def test_json_malformed_inputs():
+    boolean_doc = ('{"elements": ["0","1"], "zero": 0, "one": 1, '
+                   '"add": [[0,1],[1,1]], "mul": [[0,0],[0,1]], ')
     for bad in ("{not json", '{"elements": ["0"]}', '[]',
                 '{"elements": ["0","1"], "zero": 0, "one": 1, '
-                '"add": [[0,9],[1,1]], "mul": [[0,0],[0,1]]}'):
+                '"add": [[0,9],[1,1]], "mul": [[0,0],[0,1]]}',
+                boolean_doc + '"order": [[0, "a"]]}',
+                boolean_doc + '"order": [[0.5, 1]]}',
+                boolean_doc + '"order": [[true, 1]]}'):
         with pytest.raises(StructureError):
             semiring_from_json(bad)
 

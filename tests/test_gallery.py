@@ -9,7 +9,7 @@ from semirings import cli
 from semirings.cardinal import (ALEPH0, CardinalFamily, FIN1,
                                 UNCOUNTABLE, check_sigma_axioms, fin, nfold)
 from semirings.core import (OpTable, absorption_witness, check_semiring_axioms,
-                            enumerate_semirings, is_orderable, is_zero_sum_free,
+                            enumerate_semirings, is_zero_sum_free,
                             semiring_law_violations)
 from semirings.gallery import (NINF_INF, OMEGA_INF, ZeroSumError,
                                adjoin_infinity, boolean, four_valued,
@@ -18,8 +18,7 @@ from semirings.gallery import (NINF_INF, OMEGA_INF, ZeroSumError,
                                nat_desk, nat_infinity, ninf, omega_add,
                                omega_fin, omega_inf_minus, omega_mul,
                                omega_plus_reverse, powerset_semiring,
-                               search_distributivity_violation, three_valued,
-                               xor_semiring)
+                               three_valued, xor_semiring)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -208,34 +207,30 @@ def test_huge_finite_multiplicities_sum_at_once():
     assert d.sigma(CardinalFamily({0: big})) == 0
 
 
-def test_distributivity_search_empty_on_cancellative_pool():
-    # orderable and free of zero divisors: the witness shape cannot occur
-    pool = []
-    for s in enumerate_semirings(3):
-        if not is_zero_sum_free(s)[0] or not is_orderable(s)[0]:
-            continue
-        if any(s.mul[x][y] == s.zero
-               for x in range(1, s.n) for y in range(1, s.n)):
-            continue
-        pool.append(s)
-    assert pool
-    assert search_distributivity_violation(pool) is None
+def _has_zero_divisors(s):
+    return any(s.mul[x][a] == s.zero for x in range(s.n) for a in range(s.n)
+               if s.zero not in (x, a))
 
 
-def test_distributivity_search_finds_zero_divisor_witness():
-    pool = [s for s in enumerate_semirings(3) if is_zero_sum_free(s)[0]]
-    witness = search_distributivity_violation(pool)
-    assert witness is not None
-    t = adjoin_infinity(witness.semiring)
-    total = t.sigma(witness.family)
-    if witness.side == "left":
-        lhs = t.times(witness.element, total)
-        rhs = t.sigma(witness.family.map_keys(lambda v: t.times(witness.element, v)))
-    else:
-        lhs = t.times(total, witness.element)
-        rhs = t.sigma(witness.family.map_keys(lambda v: t.times(v, witness.element)))
-    assert (lhs, rhs) == (witness.product_of_sum, witness.sum_of_products)
-    assert lhs != rhs
+@pytest.mark.parametrize("n", [3, 4])
+def test_battery_flags_distributivity_iff_zero_divisors(n):
+    # one random family: the verdict rests on the exhaustive singleton block
+    pool = [s for s in enumerate_semirings(n) if is_zero_sum_free(s)[0]]
+    assert any(map(_has_zero_divisors, pool))
+    assert not all(map(_has_zero_divisors, pool))
+    for s in pool:
+        t = adjoin_infinity(s)
+        for seed in (0, 1, 2):
+            rep = check_sigma_axioms(t, seed=seed, families=1)
+            assert rep.passed != _has_zero_divisors(s), (s.add, s.mul, seed)
+            for law, (x, f, lhs, rhs) in rep.violations:
+                assert law in ("sigma-distributivity-left",
+                               "sigma-distributivity-right")
+                times = t.times if law.endswith("left") else (
+                    lambda a, b: t.times(b, a))
+                assert times(x, t.sigma(f)) == lhs
+                assert t.sigma(f.map_keys(lambda v: times(x, v))) == rhs
+                assert lhs != rhs
 
 
 def test_registry_names_resolve():
