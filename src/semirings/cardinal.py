@@ -156,6 +156,9 @@ class CardinalFamily:
     def map_keys(self, f) -> "CardinalFamily":
         """Push the family through a function on values, merging collisions
         by cardinal addition (reindexing of the summed family)."""
+        if len(self._items) == 1:  # one key: nothing to merge or sort
+            (v, c), = self._items
+            return CardinalFamily._canonical(((f(v), c),))
         return CardinalFamily((f(v), c) for v, c in self._items)
 
     def scale(self, k: Cardinal) -> "CardinalFamily":

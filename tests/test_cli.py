@@ -15,6 +15,7 @@ from semirings.core import (FiniteSemiring, check_semiring_axioms,
                             enumerate_semirings, is_orderable, is_zero_sum_free,
                             natural_quasiorder, semiring_to_json)
 from semirings.gallery import boolean, xor_semiring
+from test_core import generator_law_violations
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -381,6 +382,69 @@ def test_arbitrary_json_in_jsonl_lines_never_raises(tmp_path_factory, command, m
         code = cli.main([command, member, str(path)])
     assert code in (0, 1, 2)
     assert err.getvalue().count("\n") <= 1
+
+
+SMALL_SEMIRINGS = [s for n in (1, 2, 3, 4) for s in enumerate_semirings(n)]
+
+
+@st.composite
+def table_documents(draw):
+    """(document, well formed): a table document with n <= 5, either random
+    cells or a semiring of size <= 4 (with its natural order when it has
+    one), then perhaps one mutated cell, row, field type or field."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 5))
+        idx = st.integers(0, n - 1)
+        matrix = st.lists(st.lists(idx, min_size=n, max_size=n), min_size=n, max_size=n)
+        doc = {"elements": [f"e{i}" for i in range(n)], "zero": draw(idx),
+               "one": draw(idx), "add": draw(matrix), "mul": draw(matrix)}
+    else:
+        s = draw(st.sampled_from(SMALL_SEMIRINGS))
+        orderable, order = is_orderable(s)
+        doc = json.loads(semiring_to_json(s, order if orderable and draw(st.booleans())
+                                          else None))
+    n = len(doc["elements"])
+    mutation = draw(st.sampled_from([None, "cell", "row", "field", "drop", "order"]))
+    if mutation == "cell":
+        row = doc[draw(st.sampled_from(["add", "mul"]))][draw(st.integers(0, n - 1))]
+        row[draw(st.integers(0, n - 1))] = draw(_JSON_VALUES | st.integers(-2, n + 1))
+    elif mutation == "row":
+        row = doc[draw(st.sampled_from(["add", "mul"]))][draw(st.integers(0, n - 1))]
+        if draw(st.booleans()):
+            row.append(0)
+        else:
+            row.pop()
+    elif mutation == "field":
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(_JSON_VALUES)
+    elif mutation == "drop":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif mutation == "order":
+        pair = st.lists(st.integers(-1, n), min_size=2, max_size=2)
+        doc["order"] = draw(st.lists(pair, max_size=4))
+    return doc, mutation is None
+
+
+@given(command=st.sampled_from(["check", "order"]), case=table_documents())
+@settings(max_examples=150, deadline=None)
+def test_table_documents_through_main_never_raise(tmp_path_factory, command, case):
+    doc, well_formed = case
+    path = tmp_path_factory.mktemp("tables") / "t.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([command, str(path), "--format", "json"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue() and err.getvalue().count("\n") <= 1
+    if well_formed:
+        s = FiniteSemiring.from_tables(doc["elements"], doc["zero"], doc["one"],
+                                       doc["add"], doc["mul"])
+        want = [f"{law} at {witness}" for law, witness in generator_law_violations(
+            range(s.n), s.add, s.mul, s.zero, s.one)]
+        if want:
+            assert code == 1
+        elif command == "check":  # order also exits 1 where no order is compatible
+            assert code == 0
+        assert json.loads(out.getvalue()).get("violations", []) == want
 
 
 BAD_ORDER = {"elements": ["0", "1"], "zero": 0, "one": 1,
