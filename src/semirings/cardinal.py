@@ -29,10 +29,6 @@ class MissingOrderError(ValueError):
     hooks) and none was supplied."""
 
 
-class SubsumLimitError(ValueError):
-    """A multiplicity has too many multiples to enumerate."""
-
-
 # ---------------------------------------------------------------------------
 # cardinals
 
@@ -255,6 +251,9 @@ def nfold(plus, zero, v, k: int):
     return acc
 
 
+_SYMBOLIC_CARRIER_BOUND = 32  # carrier_bound of every symbolic carrier
+
+
 class SigmaSemiring:
     """A semiring carrier together with a total Sigma on cardinal families.
 
@@ -276,7 +275,7 @@ class SigmaSemiring:
     def __init__(self, name, *, zero, one, plus, times, sigma_fn,
                  base=None, order=None, leq=None, sample=None, contains=None,
                  label=None, parse_label=None, multiples_unbounded=None,
-                 fin_chain_plus=None, fin_chain_sup=None, carrier_bound=32):
+                 fin_chain_plus=None, fin_chain_sup=None):
         self.name = name
         self.zero = zero
         self.one = one
@@ -293,7 +292,7 @@ class SigmaSemiring:
         self.multiples_unbounded = multiples_unbounded
         self.fin_chain_plus = fin_chain_plus
         self.fin_chain_sup = fin_chain_sup
-        self.carrier_bound = carrier_bound
+        self.carrier_bound = base.n if base is not None else _SYMBOLIC_CARRIER_BOUND
 
     @classmethod
     def from_finite(cls, name, base: FiniteSemiring, sigma_fn,
@@ -312,7 +311,6 @@ class SigmaSemiring:
             label=base.label,
             parse_label=base.index_of,
             multiples_unbounded=lambda v: False,
-            carrier_bound=base.n,
         )
 
     @property
@@ -390,46 +388,45 @@ class SubsumSet:
     values: frozenset
 
 
-_MULT_ENUM_LIMIT = 10_000
-
-
 def _multiples(c: SigmaSemiring, v, m: Cardinal):
-    """([0, v, 2v, ...] up to m*v in order, climbs).  The list ends at the
-    first repeated value: from there the orbit cycles, so the list holds
-    every multiple.  climbs marks an infinite multiplicity whose multiples
-    grow without bound; the list is then [0]."""
-    if not m.is_finite and c.multiples_unbounded(v):
-        return [c.zero], True
-    limit = m.n if m.is_finite else None
+    """[0, v, 2v, ...] up to m*v, in order.  The list ends at the first
+    repeated value: from there the orbit cycles, so the list holds every
+    multiple.  An orbit that has not repeated after carrier_bound + 1 steps
+    climbs forever, which the carrier had to declare."""
     vals, seen = [c.zero], {c.zero}
-    while limit is None or len(vals) <= limit:
+    for _ in range(c.carrier_bound + 1):
+        if m.is_finite and len(vals) > m.n:
+            return vals
         cur = c.plus(vals[-1], v)
         vals.append(cur)
         if cur in seen:
-            break
+            return vals
         seen.add(cur)
-        if len(vals) > _MULT_ENUM_LIMIT + 1:
-            # only reachable when the orbit never repeats: a symbolic carrier
-            # with a huge finite multiplicity, or an undeclared infinite orbit
-            if limit is None:
-                raise InternalConsistencyError(
-                    f"unbounded multiple orbit of {v!r} on {c.name} was not declared")
-            raise SubsumLimitError(
-                f"multiplicity {m!r} of {v!r} too large for subsum enumeration")
-    return vals, False
+    raise InternalConsistencyError(
+        f"unbounded multiple orbit of {v!r} on {c.name} was not declared")
+
+
+def _doubling_chain(c: SigmaSemiring, v, k: int):
+    """[0, v, 2v, 4v, ..., k*v]: the doublings nfold passes, then k*v."""
+    chain, step = [c.zero], v
+    for _ in range(k.bit_length()):
+        chain.append(step)
+        step = c.plus(step, step)
+    chain.append(nfold(c.plus, c.zero, v, k))
+    return chain
 
 
 def finite_subsums(c: SigmaSemiring, f: CardinalFamily) -> SubsumSet:
     """All values add-reachable using at most the multiplicity of each key.
 
     Grouping the picks key by key is exact because addition is commutative,
-    so the set is the product-fold of the per-key multiple sets.  A family
-    with a key whose multiples climb forever has no finite set: refused."""
+    so the set is the product-fold of the per-key multiple sets.  Only a
+    finite carrier has such sets in general: a symbolic one is refused."""
+    if not c.is_finite:
+        raise ValueError(f"{c.name} is symbolic: subsum sets exist on finite carriers only")
     vals = {c.zero}
     for v, m in f.items():
-        mults, climbs = _multiples(c, v, m)
-        if climbs:
-            raise SubsumLimitError(f"the multiples of {v!r} on {c.name} grow without bound")
+        mults = _multiples(c, v, m)
         vals = {c.plus(a, b) for a in vals for b in mults}
     return SubsumSet(frozenset(vals))
 
@@ -439,17 +436,21 @@ def top_subsum(c: SigmaSemiring, f: CardinalFamily):
 
     Under an order with zero least and monotone addition the multiples of a
     key climb, so the last one dominates the others and the sum dominates
-    every subsum; a step that does not climb is an internal error.  climbs
-    marks a key whose multiples climb forever; it adds 0 to the sum."""
+    every subsum; a step that does not climb is an internal error.  A
+    symbolic carrier checks a finite multiple along its doubling chain.
+    climbs marks a key whose multiples climb forever; it adds nothing."""
     top, climbs = c.zero, False
     for v, m in f.items():
-        mults, up = _multiples(c, v, m)
+        if not m.is_finite and c.multiples_unbounded(v):
+            climbs = True
+            continue
+        mults = (_multiples(c, v, m) if c.is_finite or not m.is_finite
+                 else _doubling_chain(c, v, m.n))
         for a, b in zip(mults, mults[1:]):
             if not c.leq(a, b):
                 raise InternalConsistencyError(
                     f"multiples of {v!r} on {c.name} do not climb: {a!r} then {b!r}")
         top = c.plus(top, mults[-1])
-        climbs = climbs or up
     return top, climbs
 
 

@@ -52,6 +52,16 @@ def test_workloads_module_imports():
     assert callable(_load("workloads").congruence_inputs)
 
 
+def test_clean_bad_inputs_get_the_promised_exit_code(tmp_path):
+    # the cli-mix workload counts each of these as failed when its exit
+    # code differs from the promised one, or when it raises
+    workloads = _load("workloads")
+    for argv, expected in workloads._malformed_files(tmp_path)["clean"]:
+        op = workloads.CliOp(tuple(argv), expected, "malformed")
+        code, out = workloads.run_cli(op.argv)
+        assert workloads.check_cli(op, code, out) is None, (argv, code)
+
+
 def _tree(name: str) -> ast.Module:
     return ast.parse((PERFBENCH / f"{name}.py").read_text(encoding="utf-8"))
 

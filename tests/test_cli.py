@@ -268,12 +268,15 @@ def test_non_integer_order_entry_exits_two(tmp_path, capsys, order):
     assert captured.err == f"error: {path}: order pairs must hold integer indices\n"
 
 
-def test_finitary_huge_multiplicity_exits_two(tmp_path, capsys):
+@pytest.mark.parametrize("member", ["nat-infinity", "omega-minus"])
+def test_finitary_huge_multiplicity_gets_a_verdict(tmp_path, capsys, member):
     fams = tmp_path / "huge.jsonl"
-    fams.write_text('{"family": {"1": "fin:99999999"}}\n', encoding="utf-8")
-    assert cli.main(["finitary", "nat-infinity", str(fams)]) == 2
-    err = capsys.readouterr().err
-    assert "too large for subsum enumeration" in err and err.count("\n") == 1
+    fams.write_text('{"family": {"1": "fin:20000"}}\n'
+                    '{"family": {"1": "fin:99999999"}}\n'
+                    '{"family": {"2": "fin:99999999", "0": "aleph0"}}\n', encoding="utf-8")
+    assert cli.main(["finitary", member, str(fams), "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["finitary"] is True and out["families"] == 3
 
 
 def test_maxlen_flag_is_gone(capsys):
