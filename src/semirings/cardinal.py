@@ -14,7 +14,7 @@ import json
 import random
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import and_, itemgetter
 
 from .core import (CheckReport, FiniteSemiring, InternalConsistencyError,
                    PartialOrder, StructureError)
@@ -187,11 +187,6 @@ class OmegaSequence:
     def __post_init__(self):
         if not self.cycle:
             raise ValueError("cycle must be nonempty")
-
-    def term(self, i: int):
-        if i < len(self.prefix):
-            return self.prefix[i]
-        return self.cycle[(i - len(self.prefix)) % len(self.cycle)]
 
     def family(self) -> CardinalFamily:
         return CardinalFamily([(v, FIN1) for v in self.prefix]
@@ -462,13 +457,15 @@ class SupResult:
 
 def sup_in_order(o: PartialOrder, xs) -> SupResult:
     """Least upper bound of a subset of a finite poset, distinguishing
-    "no upper bound" from "upper bounds but no least one"."""
-    xs = list(xs)
-    ubs = [u for u in range(o.n) if all(o.leq(x, u) for x in xs)]
-    if not ubs:
+    "no upper bound" from "upper bounds but no least one".  The upper
+    bounds are the AND of the members' up-set masks; the least one is the
+    first whose own mask holds them all."""
+    ups = o.up_masks
+    common = functools.reduce(and_, map(ups.__getitem__, xs), (1 << o.n) - 1)
+    if not common:
         return SupResult("no-upper-bound")
-    for u in ubs:
-        if all(o.leq(u, w) for w in ubs):
+    for u in itertools.compress(range(o.n), map(int, reversed(f"{common:b}"))):
+        if ups[u] & common == common:
             return SupResult("exists", u)
     return SupResult("no-least")
 
@@ -511,22 +508,21 @@ def eventually_constant_sum(c: SigmaSemiring, seq: OmegaSequence):
     """The eventual constant of the partial sums, or None.
 
     If a partial sum stays fixed over one full cycle it is fixed forever
-    (each cycle element then satisfies v + a = v), so a constant tail of
-    length cycle+1 inside the horizon is an exact criterion."""
-    cyc = len(seq.cycle)
-    horizon = len(seq.prefix) + (c.carrier_bound + 2) * cyc
-    partials = []
+    (each cycle element then satisfies v + a = v), so the walk adds the
+    prefix, then whole cycles, and stops at the first run of len(cycle)
+    additions that leave the sum unchanged.  None means no such run
+    within the horizon of carrier_bound + 2 cycles."""
     acc = c.zero
-    for i in range(horizon):
-        acc = c.plus(acc, seq.term(i))
-        partials.append(acc)
-    tail = partials[-1]
+    for a in seq.prefix:
+        acc = c.plus(acc, a)
     run = 0
-    for p in reversed(partials):
-        if p != tail:
-            break
-        run += 1
-    return tail if run >= cyc + 1 else None
+    for a in seq.cycle * (c.carrier_bound + 2):
+        nxt = c.plus(acc, a)
+        run = run + 1 if nxt == acc else 0
+        if run == len(seq.cycle):
+            return nxt
+        acc = nxt
+    return None
 
 
 def is_d_complete(c: SigmaSemiring, seqs):

@@ -63,7 +63,7 @@ def _is_file(source: str) -> bool:
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as e:
+    except (OSError, ValueError) as e:  # ValueError: not UTF-8, or a NUL in the path
         raise InputError(f"cannot read {path}: {e}") from None
 
 

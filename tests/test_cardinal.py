@@ -16,10 +16,11 @@ from semirings.cardinal import (ALEPH0, Cardinal, CardinalFamily, FIN0, FIN1,
                                 is_finitary, nfold, omega_sequence_battery,
                                 parse_cardinal, sup_in_order)
 from semirings.completion import completion_of_finite, completion_semiring
-from semirings.core import (InternalConsistencyError, PartialOrder,
+from semirings.core import (FiniteSemiring, InternalConsistencyError, PartialOrder,
+                            all_partial_orders,
                             enumerate_semirings, is_orderable, is_zero_sum_free)
 from semirings.gallery import (NINF_INF, OMEGA_INF, adjoin_infinity, boolean,
-                               four_valued, language_semiring, nat_desk,
+                               four_valued, gallery_semiring, language_semiring, nat_desk,
                                nat_infinity, ninf, omega_fin, omega_inf_minus,
                                omega_plus_reverse, powerset_semiring,
                                three_valued)
@@ -123,7 +124,6 @@ def test_omega_sequence_family():
     assert f.get(5) == fin(2)
     assert f.get(3) == FIN1
     assert f.get(2) == ALEPH0 and f.get(7) == ALEPH0
-    assert seq.term(0) == 5 and seq.term(3) == 2 and seq.term(4) == 7 and seq.term(5) == 2
 
 
 def test_nfold_matches_repeated_addition():
@@ -235,6 +235,40 @@ def test_sup_upper_bounds_without_least():
             rel[lo][hi] = True
     o = PartialOrder(tuple(tuple(r) for r in rel))
     assert sup_in_order(o, {0, 1}).status == "no-least"
+
+
+def _sup_scan(o, xs):
+    """sup_in_order as it was written before the up-set masks: list the
+    upper bounds, then scan them for one below all the others.  Kept as
+    the oracle for the mask version."""
+    xs = list(xs)
+    ubs = [u for u in range(o.n) if all(o.leq(x, u) for x in xs)]
+    if not ubs:
+        return SupResult("no-upper-bound")
+    for u in ubs:
+        if all(o.leq(u, w) for w in ubs):
+            return SupResult("exists", u)
+    return SupResult("no-least")
+
+
+def test_sup_matches_the_list_scan_on_every_subset_of_small_posets():
+    cases = 0
+    for n in range(1, 5):
+        for o in all_partial_orders(n):
+            for mask in range(1 << n):
+                xs = {x for x in range(n) if mask >> x & 1}
+                assert sup_in_order(o, xs) == _sup_scan(o, xs), (o, xs)
+                cases += 1
+    assert cases == 3670
+
+
+def test_sup_matches_the_list_scan_on_lang_2_2():
+    o = gallery_semiring("lang:2:2").order
+    assert o.up_masks[0] == (1 << o.n) - 1  # the empty word is least
+    rng = random.Random(17)
+    for _ in range(400):
+        xs = rng.sample(range(o.n), rng.randrange(0, 7))
+        assert sup_in_order(o, xs) == _sup_scan(o, xs), xs
 
 
 def test_symbolic_sup_of_growing_chain():
@@ -373,6 +407,85 @@ def test_constant_after_prefix_sequence():
 def test_growing_sequence_has_no_constant():
     c = nat_infinity()
     assert eventually_constant_sum(c, OmegaSequence((), (ninf(1),))) is None
+
+
+def _constant_sum_full_horizon(c, seq):
+    """eventually_constant_sum as it was written before the early stop:
+    every partial sum up to the horizon, then the constant tail.  Kept as
+    the oracle for the early-stopping walk."""
+    cyc = len(seq.cycle)
+    horizon = len(seq.prefix) + (c.carrier_bound + 2) * cyc
+    terms = itertools.chain(seq.prefix, itertools.cycle(seq.cycle))
+    partials = []
+    acc = c.zero
+    for a in itertools.islice(terms, horizon):
+        acc = c.plus(acc, a)
+        partials.append(acc)
+    tail = partials[-1]
+    run = 0
+    for p in reversed(partials):
+        if p != tail:
+            break
+        run += 1
+    return tail if run >= cyc + 1 else None
+
+
+def _identity_zero_tables(n):
+    """Every addition table on {0..n-1} with 0 as its identity; the walk
+    reads nothing else, so the other laws need not hold."""
+    for cells in itertools.product(range(n), repeat=(n - 1) ** 2):
+        rest = iter(cells)
+        yield [list(range(n))] + [[i] + [next(rest) for _ in range(1, n)]
+                                  for i in range(1, n)]
+
+
+def test_constant_sum_matches_the_full_horizon_on_every_small_table():
+    seen = Counter()
+    for n in (1, 2, 3):
+        elems = range(n)
+        cycles = [cyc for k in (1, 2, 3, 4) for cyc in itertools.product(elems, repeat=k)]
+        prefixes = [()] + [(v,) for v in elems]
+        for add in _identity_zero_tables(n):
+            base = FiniteSemiring.from_tables([str(i) for i in elems], 0, 0, add, add)
+            c = SigmaSemiring.from_finite("t", base, sigma_fn=None)
+            for prefix in prefixes:
+                for cyc in cycles:
+                    seq = OmegaSequence(prefix, cyc)
+                    want = _constant_sum_full_horizon(c, seq)
+                    assert eventually_constant_sum(c, seq) == want, (add, seq)
+                    seen[want is None] += 1
+    assert seen[True] and seen[False]
+
+
+SIGMA_GALLERY = ("boolean", "nat-infinity", "three-valued", "four-valued", "omega-minus",
+                 "powerset:2", "powerset:3", "powerset:4", "lang:1:2", "lang:2:2")
+
+
+@pytest.mark.parametrize("name", SIGMA_GALLERY)
+def test_constant_sum_matches_the_full_horizon_on_the_gallery(name):
+    c = gallery_semiring(name)
+    if isinstance(c, FiniteSemiring):  # as the CLI reads it: its completion
+        c = completion_semiring(c)
+    sample = c.sample(10)
+    rng = random.Random(name)
+    seen = Counter()
+    for _ in range(150):
+        seq = OmegaSequence(tuple(rng.choices(sample, k=rng.randrange(4))),
+                            tuple(rng.choices(sample, k=rng.randrange(1, 5))))
+        want = _constant_sum_full_horizon(c, seq)
+        assert eventually_constant_sum(c, seq) == want, seq
+        seen[want is None] += 1
+    assert seen[False]
+
+
+def test_constant_sum_horizon_is_carrier_bound_plus_two_cycles():
+    # inf-k + 1 + 1 + ... reaches inf after k steps and needs one more to
+    # show it constant: k + 1 additions fit in 34 cycles of length one
+    c = omega_plus_reverse()
+    for k, want in ((33, OMEGA_INF), (34, None)):
+        seq = OmegaSequence((omega_inf_minus(k),), (omega_fin(1),))
+        assert eventually_constant_sum(c, seq) == want
+        assert _constant_sum_full_horizon(c, seq) == want
 
 
 def test_three_valued_not_d_complete():

@@ -318,6 +318,17 @@ def test_non_utf8_file_exits_two(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("argv", [["check", "{}"], ["finitary", "boolean", "{}"],
                                   ["dcomplete", "boolean", "{}"]])
+def test_nul_in_a_path_exits_two(capsys, argv):
+    # no OS argv can hold a NUL, but cli.main takes any list of strings
+    path = "a\x00.json"
+    assert cli.main([arg.format(path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot read {path}: embedded null byte\n"
+
+
+@pytest.mark.parametrize("argv", [["check", "{}"], ["finitary", "boolean", "{}"],
+                                  ["dcomplete", "boolean", "{}"]])
 def test_deeply_nested_json_exits_two(tmp_path, capsys, argv):
     path = tmp_path / "deep.jsonl"
     path.write_text("[" * 100_000, encoding="utf-8")
@@ -637,3 +648,43 @@ def test_law_commands_match_golden(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     want = (GOLDEN / "law_commands.txt").read_text(encoding="utf-8")
     assert law_command_transcript(tmp_path) == want
+
+
+@pytest.mark.parametrize("table", ["add", "mul"])
+@pytest.mark.parametrize("value", [True, 2.0, "1", -1, 4])
+def test_bad_cell_in_a_late_row_exits_two(tmp_path, capsys, table, value):
+    # the rows before it pass the row-wise check; the bad row is read cell by cell
+    doc = json.loads(semiring_to_json(next(enumerate_semirings(4))))
+    doc[table][3][2] = value
+    path = tmp_path / "late.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {table}[3][2] = {value!r} out of range\n"
+
+
+_ARGV_TOKENS = st.sampled_from([
+    *cli._COMMANDS,
+    "boolean", "nat", "nat-infinity", "three-valued", "four-valued", "omega-minus",
+    "powerset:2", "lang:1:2", "lang:2:2", "adjoin-inf:boolean",
+    "nope", "powerset:x", "lang:3:3", "lang:1:99999999", "adjoin-inf:", "adjoin-inf:nope",
+    "--seed", "--battery", "--format", "json", "human", "xml", "--battery=0",
+    "--battery=60", "--seed=-3", "--format=json", "--help", "--maxlen", "--",
+    "", "-", "x", "0", "-1", "1*[1]", "2*[a] + 1*[0]", "{}", "missing.json",
+    "a\x00.json", "tests", "\udcff"])
+
+
+@given(command=st.sampled_from(sorted(cli._COMMANDS)),
+       rest=st.lists(_ARGV_TOKENS, max_size=5), lead=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_mutated_argv_never_raises(command, rest, lead):
+    argv = [command, *rest] if lead else rest
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:  # argparse: --help, or a malformed argv
+            code = e.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()

@@ -3,6 +3,7 @@ import functools
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -506,6 +507,55 @@ def test_check_ordered_reports_least_witness_per_law():
     assert check_ordered_semiring(s, reverse).violations == (
         ("zero-least", (1,)), ("mul-monotone-right", (2, 1, 2)),
         ("mul-monotone-left", (2, 1, 2)))
+
+
+def _ordered_scan(s, o):
+    """check_ordered_semiring as it was written before the cover pairs:
+    zero-least, then each monotonicity law over every strict pair, with the
+    least (a, b, x) witness per law.  Kept as the oracle for the cover
+    scan and its fallback."""
+    violations = []
+    above = next((a for a in range(s.n) if not o.leq(s.zero, a)), None)
+    if above is not None:
+        violations.append(("zero-least", (above,)))
+    for law, holds in (
+            ("add-monotone", lambda a, b, x: o.leq(s.add[a][x], s.add[b][x])),
+            ("mul-monotone-right", lambda a, b, x: o.leq(s.mul[a][x], s.mul[b][x])),
+            ("mul-monotone-left", lambda a, b, x: o.leq(s.mul[x][a], s.mul[x][b]))):
+        witness = next(((a, b, x) for a, b in o.pairs() for x in range(s.n)
+                        if not holds(a, b, x)), None)
+        if witness is not None:
+            violations.append((law, witness))
+    return tuple(violations)
+
+
+def _random_tables(rng, n):
+    return [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+
+
+def test_check_ordered_matches_the_full_pair_scan_on_small_tables():
+    rng = random.Random(5)
+    tables = [s for n in (1, 2, 3) for s in enumerate_semirings(n)]
+    tables += [FiniteSemiring.from_tables("0ab"[:n], 0, 1 % n, _random_tables(rng, n),
+                                          _random_tables(rng, n))
+               for n in (2, 3) for _ in range(150)]
+    outcomes = Counter()
+    for s in tables:
+        for o in all_partial_orders(s.n):
+            want = _ordered_scan(s, o)
+            assert check_ordered_semiring(s, o).violations == want, (s, o)
+            outcomes[bool(want)] += 1
+    assert outcomes[True] and outcomes[False]
+
+
+def test_covers_generate_the_order():
+    orders = [o for n in range(1, 6) for o in all_partial_orders(n)]
+    orders.append(gallery_semiring("lang:2:2").order)
+    for o in orders:
+        covers = o.covers()
+        assert PartialOrder.from_pairs(o.n, covers) == o
+        assert all(not (o.leq(a, c) and o.leq(c, b)) for a, b in covers
+                   for c in range(o.n) if c not in (a, b))
 
 
 def test_json_rejects_boolean_indices():
