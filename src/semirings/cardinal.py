@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from operator import and_, itemgetter
 
 from .core import (CheckReport, FiniteSemiring, InternalConsistencyError,
-                   PartialOrder, StructureError)
+                   PartialOrder, StructureError, _gather)
 
 
 class CarrierError(ValueError):
@@ -712,6 +712,75 @@ def _distributivity_violations(c: SigmaSemiring, sigma, x, f: CardinalFamily, to
         distributed = sigma(f.map_keys(times))
         if product != distributed:
             yield f"sigma-distributivity-{side}", (x, f, product, distributed)
+
+
+# ---------------------------------------------------------------------------
+# the exact certificate of a finite Sigma table
+
+def check_sigma_table(c: SigmaSemiring) -> CheckReport:
+    """The Sigma axioms, d-completeness and finitarity over every family,
+    decided exactly on a finite carrier whose order is compatible (zero
+    least, + monotone) and whose Sigma is key-additive: the sum over the
+    keys v of Sigma({v: m_v}).  Finite multiplicities sum by the fold, so
+    the table T_k(v) = Sigma({v: k}), k in aleph0 and uncountable, fixes
+    Sigma, and each law becomes row compares on it, each row an instance of the
+    law on a family of one or two keys: zero, T_k(0) = 0; split,
+    v + T_k(v) = T_k(v) and T_k + T_m = T_max(k,m); repetition,
+    T_k(a + b) = T_k(a) + T_k(b) and T_k(T_m(v)) = T_max(k,m)(v);
+    distributivity, x * T_k(v) = T_k(x * v) on both sides.  Under the order
+    the partial sums of v, v, ... and the sup of the finite subsums of
+    {v: k} are the top of v's orbit of multiples, and tops add, so Sigma is
+    d-complete iff T_aleph0 is the orbit top, and finitary iff
+    T_uncountable is that top too.  Each failed row reports its least
+    instance."""
+    keys = range(c.base.n)
+    tables = {k: tuple(c.sigma(CardinalFamily({v: k})) for v in keys)
+              for k in (ALEPH0, UNCOUNTABLE)}
+    for v in keys:  # one finite multiplicity per key keeps the fold cross-check running
+        c.sigma(CardinalFamily({v: fin(2)}))
+    top = tuple(_multiples(c, v, ALEPH0)[-1] for v in keys)
+    return CheckReport.first_per_law(_sigma_table_violations(c.base, tables, top))
+
+
+def _first_miss(got, want):
+    """The least index at which two rows differ, or None."""
+    got, want = tuple(got), tuple(want)
+    return None if got == want else next(i for i, g in enumerate(got) if g != want[i])
+
+
+def _sigma_table_violations(s: FiniteSemiring, tables, top):
+    """Yield (law, witness) for each failed row of check_sigma_table.  Each
+    O(n) row is gathered in C: a table row read at the values of T_k, and
+    T_k read along a table row."""
+    keys, add, mul = range(s.n), s.add, s.mul
+    columns = tuple(zip(*mul))
+    along = [(_gather(add[a]), _gather(mul[a]), _gather(columns[a])) for a in keys]
+    rows = {FIN1: tuple(keys), **tables}  # rows[m][v] == Sigma({v: m})
+    for k, t in tables.items():
+        if t[s.zero] != s.zero:
+            yield "sigma-zero", (k, t[s.zero])
+        for m, u in rows.items():
+            joint = tables[max(k, m)]
+            if (v := _first_miss(map(s.plus, t, u), joint)) is not None:
+                yield "sigma-partition-split", tuple(CardinalFamily({v: j})
+                                                     for j in (max(k, m), k, m))
+            if (v := _first_miss(map(t.__getitem__, u), joint)) is not None:
+                yield "sigma-partition-repetition", (CardinalFamily({v: m}), k)
+        at_t = _gather(t)  # at_t(row) == (row[T_k(v)] for v)
+        for a, (plus_a, times_a, a_times) in zip(keys, along):
+            if (b := _first_miss(plus_a(t), at_t(add[t[a]]))) is not None:
+                yield "sigma-partition-repetition", (CardinalFamily.from_sequence((a, b)), k)
+            for side, row, through in (("left", mul[a], times_a),
+                                       ("right", columns[a], a_times)):
+                if (v := _first_miss(at_t(row), through(t))) is not None:
+                    yield f"sigma-distributivity-{side}", (a, CardinalFamily({v: k}))
+    if (v := _first_miss(tables[ALEPH0], top)) is not None:
+        yield "completion-d-complete", (DCompleteWitness(
+            OmegaSequence((), (v,)), top[v], tables[ALEPH0][v]),)
+    for k, t in tables.items():
+        if (v := _first_miss(t, top)) is not None:
+            yield "completion-finitary", (
+                FinitaryWitness(CardinalFamily({v: k}), t[v], "exists", top[v]),)
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ class RunConfig:
 
 
 MAX_BELOW = 10**5  # polynomials `congruence` may enumerate below both sides
+MAX_BATTERY = 10**5  # --battery; a family costs about 200 bytes while it is held
 
 
 class InputError(Exception):
@@ -407,6 +408,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.battery is not None and args.battery < 1:
         parser.error(f"argument --battery: must be at least 1, got {args.battery}")
+    if args.battery is not None and args.battery > MAX_BATTERY:
+        parser.error(f"argument --battery: must be at most {MAX_BATTERY}, got {args.battery}")
     fn, (lo, hi) = _COMMANDS[args.command]
     if not lo <= len(args.inputs) <= hi:
         print(f"error: {args.command} takes {lo}"

@@ -217,8 +217,9 @@ def criterion_main_theorem(cfg: SuiteConfig, ctx=None) -> CriterionResult:
         if not ok:
             continue
         ordered += 1
-        # the completion's finitary battery is also the unique-sigma check:
-        # a finitary Sigma is the sup of the finite subsums
+        # decided exactly from the completion's singleton Sigma table, whose
+        # finitary check is also the unique-sigma check (a finitary Sigma is
+        # the sup of the finite subsums); the batteries run only on a failure
         result = completion_of_finite(s, wit, seed=cfg.seed,
                                       families=60, sequences=40)
         if not result.finitary_report.passed:

@@ -485,6 +485,17 @@ def test_battery_below_one_exits_two(capsys, battery):
     assert "--battery: must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("battery", [str(cli.MAX_BATTERY + 1), "1000000000"])
+def test_battery_above_the_maximum_exits_two(capsys, battery):
+    # refused before any battery is built, so the huge value allocates nothing
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["finitary", "boolean", "--battery", battery])
+    assert exc.value.code == 2
+    assert (f"--battery: must be at most {cli.MAX_BATTERY}, got {battery}"
+            in capsys.readouterr().err)
+    assert cli.main(["check", "boolean", "--battery", str(cli.MAX_BATTERY)]) == 0
+
+
 def test_printed_natural_quasiorder_on_every_small_table(tmp_path, capsys):
     # orderable tables print the natural order that is_orderable returns;
     # it must be the natural quasiorder itself
@@ -516,9 +527,13 @@ def _counting(monkeypatch, module, name):
                                                 ("finitary", 0)])
 def test_only_complete_certifies_the_completion(tmp_path, monkeypatch, capsys,
                                                 command, certified):
-    calls = _counting(monkeypatch, completion, "check_sigma_axioms")
+    calls = _counting(monkeypatch, completion, "check_sigma_table")
+    # a lawful completion passes the exact certificate, so no battery is built
+    batteries = [_counting(monkeypatch, completion, name) for name in
+                 ("check_sigma_axioms", "family_battery", "omega_sequence_battery")]
     assert cli.main([command, str(write_boolean(tmp_path)), "--battery", "60"]) == 0
     assert len(calls) == certified
+    assert batteries == [[], [], []]
 
 
 @pytest.mark.parametrize("command, battery, line", [

@@ -6,22 +6,26 @@ import pytest
 
 from semirings import completion
 from semirings.cardinal import (ALEPH0, CardinalFamily, FIN1, SigmaSemiring,
-                                UNCOUNTABLE, family_battery, fin,
-                                finite_subsums, is_finitary)
+                                UNCOUNTABLE, check_sigma_axioms,
+                                check_sigma_table, family_battery, fin,
+                                finite_subsums, is_d_complete, is_finitary,
+                                nfold, omega_sequence_battery)
 from semirings.completion import (EmbeddingError, NotFinitaryError,
                                   NotOrderableError, collapse_holds,
                                   completion_of_finite, down_set, lesssim,
                                   no_universal_complete_demo, sim_verdict,
                                   universal_property_check,
                                   value_signatures)
-from semirings.core import (FiniteSemiring, InternalConsistencyError,
-                            PartialOrder, _comm_monoid_tables,
-                            _distributive_partners, all_partial_orders,
+from semirings.core import (CheckReport, FiniteSemiring,
+                            InternalConsistencyError, PartialOrder,
+                            _comm_monoid_tables, _distributive_partners,
+                            all_partial_orders,
                             check_ordered_semiring, enumerate_semirings,
                             is_orderable)
 from semirings.gallery import (NINF_INF, boolean, four_valued,
-                               language_semiring, nat_desk, nat_infinity, ninf,
-                               powerset_semiring, xor_semiring)
+                               gallery_semiring, language_semiring, nat_desk,
+                               nat_infinity, ninf, powerset_semiring,
+                               xor_semiring)
 from semirings.series import (POLY_ZERO, Polynomial, TruncatedSeries,
                               enumerate_below, enumerate_below_series,
                               evaluate_phi)
@@ -333,6 +337,131 @@ def test_completion_sigma_matches_the_greatest_subsum_oracle():
                  for _ in range(40)]
         for f in fams:
             assert sigma(f) == oracle(f), (s, o, f)
+
+
+def _battery_report(c, seed, families, sequences):
+    """The Sigma-axiom, d-complete and finitary batteries on c, merged into
+    one report the way completion_of_finite merges them."""
+    ok_d, wd = is_d_complete(c, omega_sequence_battery(c, seed, sequences))
+    ok_f, wf = is_finitary(c, family_battery(c, seed, families))
+    extra = [(law, (w,)) for law, ok, w in (("completion-d-complete", ok_d, wd),
+                                             ("completion-finitary", ok_f, wf)) if not ok]
+    return check_sigma_axioms(c, seed, families).merge(CheckReport.build(extra))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sigma_table_certificate_agrees_with_the_batteries(seed):
+    # every orderable table of size <= 4 at its natural order, and every
+    # (table, compatible order) pair; each natural order is compatible, so
+    # each of the 63 natural cases is one of the 73 pairs and runs once
+    natural = [(s, o) for n in (1, 2, 3, 4) for s in enumerate_semirings(n)
+               for ok, o in [is_orderable(s)] if ok]
+    assert len(natural) == 63
+    cases = {(s.zero, s.one, s.add, s.mul, o.rel): (s, o)
+             for s, o in natural + list(_ordered_pairs_up_to_4())}
+    assert len(cases) == 73
+    carriers = [completion.completion_semiring(s, o) for s, o in cases.values()]
+    for c in carriers:
+        assert (check_sigma_table(c).law_names()
+                == _battery_report(c, seed, 60, 40).law_names()), c.base
+    # the finite gallery members, at the battery sizes of `complete`
+    for name in ("boolean", "powerset:2", "powerset:3", "powerset:4", "lang:1:2",
+                 "lang:1:5", "lang:2:2", "three-valued", "four-valued"):
+        c = gallery_semiring(name)
+        c = c if isinstance(c, SigmaSemiring) else completion.completion_semiring(c)
+        assert check_ordered_semiring(c.base, c.order).passed, name
+        assert (check_sigma_table(c).law_names()
+                == _battery_report(c, seed, 125, 50).law_names()), name
+
+
+def _table_sigma(s, o, t_aleph0, t_uncountable):
+    """The key-additive Sigma with the given singleton tables; a finite
+    multiplicity sums by the fold."""
+    infinite = {ALEPH0: t_aleph0, UNCOUNTABLE: t_uncountable}
+
+    def sigma(f):
+        return functools.reduce(s.plus, (
+            infinite[m][v] if m in infinite else nfold(s.plus, s.zero, v, m.n)
+            for v, m in f.items()), s.zero)
+
+    return SigmaSemiring.from_finite("sigma-table", s, sigma, o)
+
+
+def test_sigma_table_certificate_names_the_battery_laws_on_every_small_table():
+    # every key-additive Sigma on every ordered carrier of size <= 2
+    carriers = [_table_sigma(s, o, ta, tu)
+                for n in (1, 2) for s in enumerate_semirings(n)
+                for o in all_partial_orders(n) if check_ordered_semiring(s, o).passed
+                for ta, tu in itertools.product(
+                    itertools.product(range(n), repeat=n), repeat=2)]
+    assert len(carriers) == 17
+    named = set()
+    for c in carriers:
+        laws = check_sigma_table(c).law_names()
+        assert laws == _battery_report(c, 0, 200, 60).law_names(), c.base
+        named.update(laws)
+    assert named == {"sigma-zero", "sigma-partition-split", "sigma-partition-repetition",
+                     "sigma-distributivity-left", "sigma-distributivity-right",
+                     "completion-d-complete", "completion-finitary"}
+
+
+def test_sigma_table_certificate_runs_the_fold_cross_check():
+    # the certificate reads only infinite multiplicities off the table, so
+    # its one finite multiplicity per key is what keeps the fold check on
+    s = boolean()
+    _, o = is_orderable(s)
+    sup_sigma = completion._sup_sigma(s, o)
+    two_ones = CardinalFamily({s.one: fin(2)})
+    wrong = SigmaSemiring.from_finite(
+        "wrong-fold", s, lambda f: s.zero if f == two_ones else sup_sigma(f), o)
+    with pytest.raises(InternalConsistencyError, match="finite fold"):
+        check_sigma_table(wrong)
+
+
+def _plant_eps(monkeypatch, lang, key):
+    """Make the completion's Sigma add {eps} to any family that repeats
+    `key` infinitely often.  The planted Sigma is still key-additive."""
+    eps = lang.base.index_of("{eps}")
+    sup_sigma = completion._sup_sigma
+
+    def planted(s, o):
+        sigma = sup_sigma(s, o)
+        return lambda f: s.plus(sigma(f), eps) if any(
+            v == key and not m.is_finite for v, m in f.items()) else sigma(f)
+
+    monkeypatch.setattr(completion, "_sup_sigma", planted)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_certificate_flags_a_planted_defect_outside_the_battery_sample(monkeypatch, seed):
+    lang = language_semiring("a", 5)
+    key, eps = lang.base.index_of("{a}"), lang.base.index_of("{eps}")
+    _plant_eps(monkeypatch, lang, key)
+    result = completion_of_finite(lang.base, lang.order, seed=seed,
+                                  families=125, sequences=50)
+    comp = result.semiring
+    assert key not in comp.sample(8) and key not in comp.sample(10)
+    assert _battery_report(comp, seed, 125, 50).passed
+    report = result.finitary_report
+    assert report.law_names() == ["completion-d-complete", "completion-finitary",
+                                  "sigma-distributivity-left",
+                                  "sigma-distributivity-right",
+                                  "sigma-partition-repetition"]
+    witnesses = dict(report.violations)
+    assert witnesses["sigma-distributivity-left"] == (key, CardinalFamily({eps: ALEPH0}))
+    assert witnesses["completion-finitary"][0].family == CardinalFamily({key: ALEPH0})
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_defect_the_batteries_catch_keeps_their_witnesses(monkeypatch, seed):
+    lang = language_semiring("a", 2)
+    _plant_eps(monkeypatch, lang, lang.base.index_of("{a}"))
+    result = completion_of_finite(lang.base, lang.order, seed=seed,
+                                  families=125, sequences=50)
+    assert not check_sigma_table(result.semiring).passed
+    battery = _battery_report(result.semiring, seed, 125, 50)
+    assert not battery.passed
+    assert result.finitary_report == battery
 
 
 def test_completion_sigma_refuses_multiples_that_do_not_climb():
