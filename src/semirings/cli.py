@@ -233,9 +233,7 @@ def cmd_complete(cfg: RunConfig) -> int:
         return 0
     s, order = _load_semiring(source)
     try:
-        result = completion_of_finite(s, order, seed=cfg.seed,
-                                      families=max(60, cfg.families // 4),
-                                      sequences=max(40, cfg.sequences // 4))
+        result = completion_of_finite(s, order)
     except NotOrderableError as e:
         _emit(cfg, {"command": "complete", "input": source, "orderable": False,
                     "witness": _absorption_text(s, e.witness)})

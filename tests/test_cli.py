@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semirings import cli, completion
+from semirings import cardinal, cli, completion
 from semirings.core import (FiniteSemiring, check_semiring_axioms,
                             enumerate_semirings, is_orderable, is_zero_sum_free,
                             natural_quasiorder, semiring_to_json)
@@ -528,8 +528,8 @@ def _counting(monkeypatch, module, name):
 def test_only_complete_certifies_the_completion(tmp_path, monkeypatch, capsys,
                                                 command, certified):
     calls = _counting(monkeypatch, completion, "check_sigma_table")
-    # a lawful completion passes the exact certificate, so no battery is built
-    batteries = [_counting(monkeypatch, completion, name) for name in
+    # the certificate is exact, so `complete` builds no battery
+    batteries = [_counting(monkeypatch, cardinal, name) for name in
                  ("check_sigma_axioms", "family_battery", "omega_sequence_battery")]
     assert cli.main([command, str(write_boolean(tmp_path)), "--battery", "60"]) == 0
     assert len(calls) == certified
