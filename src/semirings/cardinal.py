@@ -806,31 +806,36 @@ def _stabilization_index(values, ladder):
     return ladder[i]
 
 
-# the finite multiplicities the characteristic scans go up to
-_LADDER_BOUND = 3
-# the sizes a subfamily over at most two keys can have with finite
-# multiplicities, 0 .. 2 * _LADDER_BOUND
-_FINITE_SIZES = 2 * _LADDER_BOUND + 1
-
-
 def characteristic_cardinality(c: SigmaSemiring) -> CharacteristicCardinality:
     """lambda1: least class kappa from which Sigma of kappa-many ones is
-    constant; lambdaS: the analogous worst case over a bounded family space.
-    The bound lambdaS <= max(lambda1, carrier size) is asserted."""
-    ladder = [fin(k) for k in range(_LADDER_BOUND + 1)] + [ALEPH0, UNCOUNTABLE]
+    constant; lambdaS: the analogous worst case over the families on one or
+    two sample keys.  Both scan the ladder fin:0 .. fin:b, aleph0,
+    uncountable, with b read off the orbits of the multiples: past b no
+    finite multiple reaches a new value, so no Sigma value and no least
+    subfamily lies beyond the ladder.  The bound
+    lambdaS <= max(lambda1, carrier size) is asserted."""
+    # b is the largest k at which 0, v, 2v, ... still reaches a new value,
+    # over one and the sample keys; a key whose multiples climb forever
+    # adds nothing
+    sample = c.sample(6)
+    bound = max([1] + [len(_multiples(c, v, ALEPH0)) - 2 for v in (c.one, *sample)
+                       if c.multiples_unbounded is None or not c.multiples_unbounded(v)])
+    ladder = [fin(k) for k in range(bound + 1)] + [ALEPH0, UNCOUNTABLE]
     ones = [c.sigma(CardinalFamily({c.one: k})) for k in ladder]
     lambda1 = _stabilization_index(ones, ladder)
 
     # Families over a support of one or two sample values, with
-    # multiplicities given as positions 0..5 on the ladder.  The subfamilies
-    # of a position vector m are the vectors below it, product(range(p + 1)),
-    # so one Sigma table per support serves every family over it.
-    sample = c.sample(6)
+    # multiplicities given as ladder positions.  The subfamilies of a
+    # position vector m are the vectors below it, product(range(p + 1)),
+    # so one Sigma table per support serves every family over it.  A
+    # subfamily's size is its finite sum, at most 2 * bound, or past every
+    # such sum when some multiplicity is infinite.
     supports = [(v,) for v in sample]
     supports += [(u, v) for i, u in enumerate(sample) for v in sample[i + 1:]]
     positions = {k: list(itertools.product(range(len(ladder)), repeat=k))
                  for k in (1, 2)}
-    size = {m: _size_key(m) for ms in positions.values() for m in ms}
+    size = {m: sum(m) if max(m) <= bound else 2 * bound + max(m)
+            for ms in positions.values() for m in ms}
     worst = 0
     for support in supports:
         table = {m: c.sigma(CardinalFamily(zip(support, (ladder[p] for p in m))))
@@ -843,18 +848,10 @@ def characteristic_cardinality(c: SigmaSemiring) -> CharacteristicCardinality:
                        if table[sub] == target)
             if best > worst:
                 worst = best
-    worst = fin(worst) if worst < _FINITE_SIZES else ladder[worst - _FINITE_SIZES]
+    worst = fin(worst) if worst <= 2 * bound else ladder[worst - 2 * bound]
     carrier_card = fin(c.base.n) if c.is_finite else ALEPH0
     if worst > max(lambda1, carrier_card):
         raise InternalConsistencyError(
             f"lambdaS bound violated on {c.name}: {worst!r} > "
             f"max({lambda1!r}, {carrier_card!r})")
     return CharacteristicCardinality(lambda1, worst)
-
-
-def _size_key(m):
-    """The size of a subfamily given as ladder positions, as an integer that
-    orders like the cardinal: the finite sum, or past every finite sum of
-    two positions when some multiplicity is infinite."""
-    top = max(m)
-    return sum(m) if top <= _LADDER_BOUND else _FINITE_SIZES + top

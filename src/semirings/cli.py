@@ -33,10 +33,12 @@ from .suite import SuiteConfig, run_selftest
 class RunConfig:
     inputs: tuple[str, ...]
     seed: int = 1
-    families: int = 500
-    sequences: int = 200
-    triples: int = 300
+    battery: int = 500
     fmt: str = "human"
+
+    @property
+    def suite(self) -> SuiteConfig:
+        return SuiteConfig(self.seed, self.battery)
 
 
 MAX_BELOW = 10**5  # polynomials `congruence` may enumerate below both sides
@@ -71,7 +73,8 @@ def _read_text(path: str) -> str:
 def _load_finite(source: str):
     """Resolve an input to (FiniteSemiring, optional order): a JSON path or
     a gallery name with a finite carrier.  An order supplied in the JSON
-    must be compatible with the tables."""
+    must be compatible with the tables.  A gallery member's order is its
+    tables' natural order, which is_orderable returns, so none is passed on."""
     if _is_file(source):
         try:
             s, order = semiring_from_json(_read_text(source))
@@ -84,11 +87,10 @@ def _load_finite(source: str):
                 raise InputError(f"{source}: the supplied order violates {law} at {witness}")
         return s, order
     member = _gallery_member(source)
-    if isinstance(member, FiniteSemiring):
-        return member, None
-    if isinstance(member, SigmaSemiring) and member.is_finite:
-        return member.base, member.order
-    raise InputError(f"{source} has an infinite carrier; this command needs tables")
+    s = member if isinstance(member, FiniteSemiring) else member.base
+    if s is None:
+        raise InputError(f"{source} has an infinite carrier; this command needs tables")
+    return s, None
 
 
 def _load_semiring(source: str):
@@ -243,8 +245,8 @@ def cmd_complete(cfg: RunConfig) -> int:
         "command": "complete",
         "input": source,
         "orderable": True,
-        "embedding": [f"{s.label(i)}->{s.label(j)}" for i, j in
-                      enumerate(result.embedding)],
+        # the completion of a finite carrier adds no element
+        "embedding": [f"{s.label(i)}->{s.label(i)}" for i in range(s.n)],
         "sigma-table": _sigma_table(comp, comp.sample(6)),
         "finitary-report": "pass" if result.finitary_report.passed else "fail",
         "violations": [f"{law}" for law, _ in result.finitary_report.violations],
@@ -260,7 +262,7 @@ def cmd_dcomplete(cfg: RunConfig) -> int:
         seqs = [omega_sequence_from_json(c, line)
                 for line in _read_text(cfg.inputs[1]).splitlines() if line.strip()]
     else:
-        seqs = omega_sequence_battery(c, cfg.seed, cfg.sequences)
+        seqs = omega_sequence_battery(c, cfg.seed, cfg.suite.sequences)
     ok, witness = is_d_complete(c, seqs)
     payload = {"command": "dcomplete", "input": cfg.inputs[0],
                "d-complete": ok, "sequences": len(seqs)}
@@ -284,7 +286,7 @@ def cmd_finitary(cfg: RunConfig) -> int:
         fams = [family_from_json(c, line)
                 for line in _read_text(cfg.inputs[1]).splitlines() if line.strip()]
     else:
-        fams = family_battery(c, cfg.seed, cfg.families)
+        fams = family_battery(c, cfg.seed, cfg.battery)
     ok, witness = is_finitary(c, fams)
     payload = {"command": "finitary", "input": cfg.inputs[0], "finitary": ok,
                "families": len(fams)}
@@ -351,7 +353,7 @@ def cmd_gallery(cfg: RunConfig) -> int:
         if member.has_sigma:
             payload["sigma-table"] = _sigma_table(member, member.sample(4))
             report = sigma_axiom_battery(member, cfg.seed,
-                                         max(40, cfg.families // 10))
+                                         max(40, cfg.battery // 10))
             payload["sigma-axioms"] = "pass" if report.passed else "fail"
         else:
             payload["sigma-axioms"] = "n/a"
@@ -360,9 +362,7 @@ def cmd_gallery(cfg: RunConfig) -> int:
 
 
 def cmd_selftest(cfg: RunConfig) -> int:
-    code, body = run_selftest(SuiteConfig(seed=cfg.seed, families=cfg.families,
-                                          sequences=cfg.sequences,
-                                          triples=cfg.triples))
+    code, body = run_selftest(cfg.suite)
     if cfg.fmt == "json":
         lines = body.splitlines()
         print(json.dumps({"command": "selftest", "seed": cfg.seed,
@@ -395,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="semiring JSON path or gallery name; congruence "
                              "also takes two polynomial strings like '2*[a] + 1*[a.b]'")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--battery", type=int, default=None,
+    parser.add_argument("--battery", type=int, default=500,
                         help="override the family battery size")
     parser.add_argument("--format", choices=("human", "json"), default="human")
     return parser
@@ -404,9 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.battery is not None and args.battery < 1:
+    if args.battery < 1:
         parser.error(f"argument --battery: must be at least 1, got {args.battery}")
-    if args.battery is not None and args.battery > MAX_BATTERY:
+    if args.battery > MAX_BATTERY:
         parser.error(f"argument --battery: must be at most {MAX_BATTERY}, got {args.battery}")
     fn, (lo, hi) = _COMMANDS[args.command]
     if not lo <= len(args.inputs) <= hi:
@@ -414,14 +414,8 @@ def main(argv=None) -> int:
               + (f"..{hi}" if hi != lo else "")
               + f" input argument(s), got {len(args.inputs)}", file=sys.stderr)
         return 2
-    cfg = RunConfig(
-        inputs=tuple(args.inputs),
-        seed=args.seed,
-        families=args.battery if args.battery is not None else 500,
-        sequences=max(40, (args.battery or 500) * 2 // 5),
-        triples=max(40, (args.battery or 500) * 3 // 5),
-        fmt=args.format,
-    )
+    cfg = RunConfig(inputs=tuple(args.inputs), seed=args.seed,
+                    battery=args.battery, fmt=args.format)
     try:
         return fn(cfg)
     except (InputError, StructureError) as e:

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semirings.cardinal import (ALEPH0, Cardinal, CardinalFamily, FIN0, FIN1,
+from semirings.cardinal import (ALEPH0, _multiples, Cardinal, CardinalFamily, FIN0, FIN1,
                                 CharacteristicCardinality, MissingOrderError,
                                 OmegaSequence, SigmaSemiring, SupResult,
                                 UNCOUNTABLE,
@@ -642,11 +642,12 @@ def test_characteristic_omega_minus():
     assert lam.lambda1 == ALEPH0
 
 
-@pytest.mark.xfail(strict=True, reason="the characteristic ladder stops at fin:3")
 def test_characteristic_lambda1_past_three_steps():
-    # on {0..4} saturating at 4, Sigma of 4, 5 and aleph0 ones is 4
-    c = completion_semiring(nat_desk(4))
-    assert characteristic_cardinality(c).lambda1 == fin(4)
+    # on {0..k} saturating at k, Sigma of k, k + 1 and aleph0 ones is k, and
+    # the family {1: k} needs all k of its copies
+    for k in range(4, 8):
+        c = completion_semiring(nat_desk(k))
+        assert characteristic_cardinality(c) == CharacteristicCardinality(fin(k), fin(k))
 
 
 def _characteristic_oracle(c):
@@ -700,6 +701,21 @@ def _oracle_carriers():
 
 def test_characteristic_scan_matches_the_cardinal_oracle():
     for c in _oracle_carriers():
+        assert characteristic_cardinality(c) == _characteristic_oracle(c), c.name
+
+
+def test_characteristic_scan_matches_the_oracle_on_tables_of_size_four():
+    # with the test above, every completion and infinity adjunction of the
+    # tables of size <= 4; the oracle's fixed ladder stops at fin:3, which
+    # is exact while every orbit of multiples reaches its last new value
+    # within three steps
+    tables = list(enumerate_semirings(4))
+    carriers = ([completion_semiring(s) for s in tables if is_orderable(s)[0]]
+                + [adjoin_infinity(s) for s in tables if is_zero_sum_free(s)[0]])
+    assert len(carriers) == 124
+    for c in carriers:
+        assert max(len(_multiples(c, v, ALEPH0)) - 2
+                   for v in (c.one, *c.sample(6))) <= 3, c.name
         assert characteristic_cardinality(c) == _characteristic_oracle(c), c.name
 
 

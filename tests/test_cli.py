@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semirings import cardinal, cli, completion
+from semirings import cardinal, cli, completion, core, gallery, suite
 from semirings.core import (FiniteSemiring, check_semiring_axioms,
                             enumerate_semirings, is_orderable, is_zero_sum_free,
                             natural_quasiorder, semiring_to_json)
@@ -703,3 +703,42 @@ def test_mutated_argv_never_raises(command, rest, lead):
             code = e.code
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue()
+
+
+def _count_order_checks(monkeypatch):
+    """Count is_orderable and check_ordered_semiring calls, wherever the
+    package looks them up."""
+    counts = {"is_orderable": 0, "check_ordered_semiring": 0}
+    for name in counts:
+        real = getattr(core, name)
+
+        def spy(*args, _name=name, _real=real, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        for module in (core, cli, completion, suite, gallery):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, spy)
+    return counts
+
+
+@pytest.mark.parametrize("member", ["lang:2:2", "powerset:4"])
+def test_gallery_members_are_ordered_once(monkeypatch, capsys, member):
+    # a gallery member's order is its natural order, so `complete` takes the
+    # one is_orderable returns and checks no supplied order
+    counts = _count_order_checks(monkeypatch)
+    assert cli.main(["complete", member]) == 0
+    assert counts == {"is_orderable": 1, "check_ordered_semiring": 0}
+    counts.update(dict.fromkeys(counts, 0))
+    assert suite.criterion_main_theorem(suite.SuiteConfig()).passed
+    # one is_orderable per table of size <= 3, inside completion_semiring
+    assert counts == {"is_orderable": 9, "check_ordered_semiring": 0}
+
+
+@pytest.mark.parametrize("battery", [1, 60, 99, 100, 150, 500, 100000])
+def test_suite_derives_the_battery_sizes(battery):
+    cfg = cli.RunConfig(inputs=(), seed=4, battery=battery).suite
+    assert cfg == suite.SuiteConfig(4, battery)
+    assert cfg.families == battery
+    assert cfg.sequences == max(40, battery * 2 // 5)
+    assert cfg.triples == max(40, battery * 3 // 5)

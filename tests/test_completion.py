@@ -499,7 +499,6 @@ def test_completion_sigma_refuses_multiples_that_do_not_climb():
 def test_completion_report_passes_for_boolean():
     result = completion_of_finite(boolean())
     assert result.finitary_report.passed
-    assert result.embedding == (0, 1)
 
 
 def test_completion_of_language_semiring_matches_union():

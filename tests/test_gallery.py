@@ -9,7 +9,7 @@ from semirings import cli
 from semirings.cardinal import (ALEPH0, CardinalFamily, FIN1,
                                 UNCOUNTABLE, check_sigma_axioms, fin, nfold)
 from semirings.core import (OpTable, absorption_witness, check_semiring_axioms,
-                            enumerate_semirings, is_zero_sum_free,
+                            enumerate_semirings, is_orderable, is_zero_sum_free,
                             semiring_law_violations)
 from semirings.gallery import (NINF_INF, OMEGA_INF, ZeroSumError,
                                adjoin_infinity, boolean, four_valued,
@@ -308,3 +308,16 @@ def gallery_transcript() -> str:
 def test_gallery_members_match_golden():
     want = (GOLDEN / "gallery_members.txt").read_text(encoding="utf-8")
     assert gallery_transcript() == want
+
+
+def test_finite_members_carry_their_natural_order():
+    # the loaders pass no order on for a gallery member: is_orderable
+    # returns the same one
+    names = (["three-valued", "four-valued"] + [f"powerset:{k}" for k in range(5)]
+             + [f"lang:1:{m}" for m in range(7)] + [f"lang:2:{m}" for m in range(3)]
+             + [f"lang:3:{m}" for m in range(2)])
+    for name in names:
+        member = gallery_semiring(name)
+        assert member.base.n <= 128
+        orderable, natural = is_orderable(member.base)
+        assert orderable and member.order.rel == natural.rel, name

@@ -9,7 +9,7 @@ from semirings.suite import (SuiteConfig, criterion_classification,
                              run_selftest)
 
 # the number of classifications does not depend on the battery sizes
-CFG = SuiteConfig(seed=2, families=60, sequences=40)
+CFG = SuiteConfig(seed=2, families=60)
 
 
 def _spy_classify(monkeypatch):
