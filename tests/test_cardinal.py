@@ -5,10 +5,10 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semirings.cardinal import (ALEPH0, _multiples, Cardinal, CardinalFamily, FIN0, FIN1,
+from semirings.cardinal import (ALEPH0, Cardinal, CardinalFamily, FIN0, FIN1,
                                 CharacteristicCardinality, MissingOrderError,
                                 OmegaSequence, SigmaSemiring, SupResult,
-                                UNCOUNTABLE,
+                                UNCOUNTABLE, _multiples,
                                 card_add, card_mul, card_sum,
                                 characteristic_cardinality, check_sigma_axioms,
                                 eventually_constant_sum, family_battery,
