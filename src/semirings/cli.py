@@ -72,9 +72,10 @@ def _read_text(path: str) -> str:
 
 def _load_finite(source: str):
     """Resolve an input to (FiniteSemiring, optional order): a JSON path or
-    a gallery name with a finite carrier.  An order supplied in the JSON
-    must be compatible with the tables.  A gallery member's order is its
-    tables' natural order, which is_orderable returns, so none is passed on."""
+    a gallery name with a finite carrier.  An order in the JSON is checked
+    here and nowhere else; the commands take it as compatible, which also
+    proves the tables orderable.  A gallery member's order is its tables'
+    natural order, which is_orderable returns, so none is passed on."""
     if _is_file(source):
         try:
             s, order = semiring_from_json(_read_text(source))
@@ -304,12 +305,12 @@ def cmd_finitary(cfg: RunConfig) -> int:
 def cmd_congruence(cfg: RunConfig) -> int:
     source, left, right = cfg.inputs
     s, order = _load_semiring(source)
-    orderable, wit = is_orderable(s)
-    if not orderable:
-        _emit(cfg, {"command": "congruence", "input": source, "orderable": False,
-                    "witness-triple": [s.label(i) for i in wit]})
-        return 1
-    order = order if order is not None else wit
+    if order is None:
+        orderable, order = is_orderable(s)
+        if not orderable:
+            _emit(cfg, {"command": "congruence", "input": source, "orderable": False,
+                        "witness-triple": [s.label(i) for i in order]})
+            return 1
     try:
         p = poly_from_text(left, s)
         q = poly_from_text(right, s)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (CheckReport, FiniteSemiring, InternalConsistencyError,
-                   PartialOrder, check_ordered_semiring, is_orderable)
+                   PartialOrder, is_orderable)
 from .cardinal import (ALEPH0, CardinalFamily, SigmaSemiring, UNCOUNTABLE,
                        characteristic_cardinality, check_sigma_table,
                        family_battery, is_finitary, top_subsum)
@@ -178,23 +178,22 @@ def _sup_sigma(s: FiniteSemiring, o: PartialOrder):
 
 def completion_semiring(s: FiniteSemiring,
                         o: PartialOrder | None = None) -> SigmaSemiring:
-    """The completion's carrier with the induced Sigma, uncertified: refuses
-    a carrier that is not orderable or an order that is not compatible."""
-    orderable, witness = is_orderable(s)
-    if not orderable:
-        raise NotOrderableError(witness)
+    """The completion's carrier with the induced Sigma, uncertified.  A
+    supplied o is taken as compatible; cli._load_finite checks it.  s is
+    then orderable: a <= a + x under o, so the natural quasiorder lies in o
+    and is antisymmetric.  Without o the natural order is used, and a
+    carrier that is not orderable is refused."""
     if o is None:
-        o = witness
-    else:
-        rep = check_ordered_semiring(s, o)
-        if not rep.passed:
-            raise EmbeddingError(f"supplied order is not compatible: {rep.violations}")
+        orderable, o = is_orderable(s)
+        if not orderable:
+            raise NotOrderableError(o)
     return SigmaSemiring.from_finite("completion", s, _sup_sigma(s, o), o)
 
 
 def completion_of_finite(s: FiniteSemiring,
                          o: PartialOrder | None = None) -> CompletionResult:
-    """The finitary completion of a finite ordered semiring.
+    """The finitary completion of s, under o taken as compatible as in
+    completion_semiring.
 
     For a finite carrier the completion adds no elements, so the embedding
     is the identity; the content is the induced Sigma (least upper bound of
@@ -213,8 +212,9 @@ def universal_property_check(s: FiniteSemiring, o: PartialOrder,
     into a finitary t extends uniquely to the completion, i.e. the (single
     possible) extension preserves every infinite sum.
 
-    Refuses non-embeddings and non-finitary targets.  Both batteries, on t
-    and on the completion, draw 120 families from seed 0."""
+    o is taken as compatible with s, as in completion_semiring.  Refuses
+    non-embeddings and non-finitary targets.  Both batteries, on t and on
+    the completion, draw 120 families from seed 0."""
     rng = range(s.n)
     if sorted(f_map) != list(rng):
         raise EmbeddingError("map must be defined on the whole carrier")

@@ -141,9 +141,6 @@ class CheckReport:
             first.setdefault(law, witness)
         return cls.build(first.items())
 
-    def merge(self, other: "CheckReport") -> "CheckReport":
-        return CheckReport.build(self.violations + other.violations)
-
     def law_names(self):
         return sorted({name for name, _ in self.violations})
 

@@ -188,3 +188,35 @@ def test_the_selftest_still_reaches_the_below_set_enumerator(monkeypatch):
     monkeypatch.setattr(completion, "enumerate_below", spy)
     assert suite.criterion_main_theorem(suite.SuiteConfig()).passed
     assert calls
+
+
+def test_sim_verdict_reaches_every_layer_the_congruence_run_expects(monkeypatch):
+    # the congruence workload calls sim_verdict alone, and its traced run
+    # fails when a layer it expects records no calls; core.laws is reached
+    # only through lesssim's is_orderable, looked up on `completion`
+    expected = _load("run").EXPECTED_LAYERS["congruence"]
+    assert "core.laws" in expected
+    completion = importlib.import_module("semirings.completion")
+    core = importlib.import_module("semirings.core")
+    gallery = importlib.import_module("semirings.gallery")
+    series = importlib.import_module("semirings.series")
+    s = gallery.boolean()
+    _, order = core.is_orderable(s)
+    modules = [m for name, m in list(sys.modules.items())
+               if name.split(".")[0] == "semirings"]
+    reached = set()
+    for layer in expected:
+        mod_name, names = spans.LAYERS[layer]
+        for name in names:
+            real = getattr(importlib.import_module(mod_name), name)
+
+            def spy(*args, _layer=layer, _real=real, **kwargs):
+                reached.add(_layer)
+                return _real(*args, **kwargs)
+
+            for module in modules:
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, spy)
+    completion.sim_verdict(series.Polynomial({(1,): 1}),
+                           series.Polynomial({(1,): 2}), s, order)
+    assert reached == set(expected)

@@ -463,18 +463,24 @@ def test_table_documents_through_main_never_raise(tmp_path_factory, command, cas
 
 BAD_ORDER = {"elements": ["0", "1"], "zero": 0, "one": 1,
              "add": [[0, 1], [1, 1]], "mul": [[0, 0], [0, 1]], "order": [[1, 0]]}
+# nat_desk(2) ordered 0 < 2 < 1: zero is least, but 0 <= 1 while 0 + 1 = 1
+# is not below 1 + 1 = 2
+NOT_MONOTONE = {**json.loads(semiring_to_json(gallery.nat_desk(2))),
+                "order": [[0, 2], [2, 1]]}
 
 
 @pytest.mark.parametrize("argv", [["check"], ["order"], ["complete"], ["dcomplete"],
                                   ["finitary"], ["congruence", "1*[1]", "1*[0]"]])
 def test_incompatible_supplied_order_exits_two(tmp_path, capsys, argv):
-    path = tmp_path / "bad-order.json"
-    path.write_text(json.dumps(BAD_ORDER), encoding="utf-8")
-    assert cli.main([argv[0], str(path), *argv[1:]]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1
-    assert captured.err.startswith("error: ") and "zero-least" in captured.err
+    # the loader is the one place a supplied order is checked
+    for doc, law in ((BAD_ORDER, "zero-least at (1,)"),
+                     (NOT_MONOTONE, "add-monotone at (0, 1, 1)")):
+        path = tmp_path / "bad-order.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main([argv[0], str(path), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: the supplied order violates {law}\n"
 
 
 @pytest.mark.parametrize("battery", ["0", "-3"])
@@ -733,6 +739,19 @@ def test_gallery_members_are_ordered_once(monkeypatch, capsys, member):
     assert suite.criterion_main_theorem(suite.SuiteConfig()).passed
     # one is_orderable per table of size <= 3, inside completion_semiring
     assert counts == {"is_orderable": 9, "check_ordered_semiring": 0}
+
+
+@pytest.mark.parametrize("argv", [["complete"], ["dcomplete"], ["finitary"],
+                                  ["congruence", "1*[1]", "1*[0]"]])
+def test_a_supplied_order_is_checked_once(tmp_path, monkeypatch, capsys, argv):
+    # the loader checks the JSON's order, and a compatible order proves the
+    # tables orderable; the two is_orderable calls of `congruence` are
+    # lesssim's, one per direction
+    path = write_boolean(tmp_path)
+    counts = _count_order_checks(monkeypatch)
+    assert cli.main([argv[0], str(path), *argv[1:]]) == 0
+    assert counts == {"is_orderable": 2 if argv[0] == "congruence" else 0,
+                      "check_ordered_semiring": 1}
 
 
 @pytest.mark.parametrize("battery", [1, 60, 99, 100, 150, 500, 100000])

@@ -88,6 +88,16 @@ def test_lesssim_refuses_unorderable_carrier():
         lesssim(POLY_ZERO, POLY_ZERO, s, o)
 
 
+def test_lesssim_brute_force_and_reduced_criteria_cross_check():
+    # under the reversed order 1 < 0, which is not compatible, the brute
+    # force finds phi(0) = 0 among the values below 1*[1], but the reduced
+    # criterion reads 0 <= phi(1*[1]) = 1, which fails
+    s = boolean()
+    reversed_order = PartialOrder(((True, False), (True, True)))
+    with pytest.raises(InternalConsistencyError, match="disagree"):
+        lesssim(POLY_ZERO, Polynomial({(1,): 1}), s, reversed_order)
+
+
 def test_lesssim_on_series_with_capped_infinity():
     s = boolean()
     _, o = is_orderable(s)
@@ -346,7 +356,8 @@ def _battery_report(c, seed, families, sequences):
     ok_f, wf = is_finitary(c, family_battery(c, seed, families))
     extra = [(law, (w,)) for law, ok, w in (("completion-d-complete", ok_d, wd),
                                              ("completion-finitary", ok_f, wf)) if not ok]
-    return check_sigma_axioms(c, seed, families).merge(CheckReport.build(extra))
+    return CheckReport.build(check_sigma_axioms(c, seed, families).violations
+                             + tuple(extra))
 
 
 def test_sigma_table_certificate_agrees_with_the_batteries():
