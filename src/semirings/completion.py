@@ -16,7 +16,8 @@ from .cardinal import (ALEPH0, CardinalFamily, SigmaSemiring, UNCOUNTABLE,
                        family_battery, is_finitary, top_subsum)
 from .gallery import four_valued, nat_infinity
 from .series import (POLY_ZERO, Polynomial, TruncatedSeries, embed_e,
-                     enumerate_below, enumerate_below_series, evaluate_phi)
+                     enumerate_below, enumerate_below_series, evaluate_phi,
+                     phi_each)
 
 
 class NotOrderableError(ValueError):
@@ -76,9 +77,9 @@ def _below(x, cap: int):
 
 
 def _lesssim_brute(p_list, q_list, s, o) -> LesssimHalf:
-    below_q = down_set({evaluate_phi(q1, s) for q1 in q_list}, s, o)
-    for p1 in p_list:
-        if evaluate_phi(p1, s) not in below_q:
+    below_q = down_set(set(phi_each(q_list, s)), s, o)
+    for p1, v in zip(p_list, phi_each(p_list, s)):
+        if v not in below_q:
             return LesssimHalf(False, p1)
     return LesssimHalf(True)
 
@@ -92,7 +93,10 @@ def lesssim(p, q, s: FiniteSemiring, o: PartialOrder, cap: int = 3) -> LesssimHa
     against the reduced criterion phi(p) <= phi(q); a disagreement would
     falsify the monotonicity of the evaluation map, so it aborts the run.
     Series arguments cap infinite coefficients and require the verdicts at
-    cap-1 and cap to agree, otherwise the result is inconclusive."""
+    cap-1 and cap to agree, otherwise the result is inconclusive; a cap
+    below 1 is refused."""
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap!r}")
     ok, wit = is_orderable(s)
     if not ok:
         raise NotOrderableError(wit)
@@ -150,7 +154,7 @@ def collapse_holds(s: FiniteSemiring, o) -> tuple[bool, int]:
     disagreement would falsify the closure, so it aborts the run."""
     sigs = value_signatures(s)
     for (v, values), p in sigs.items():
-        below = {evaluate_phi(q, s) for q in enumerate_below(p)}
+        below = set(phi_each(enumerate_below(p), s))
         if evaluate_phi(p, s) != v or below != values:
             raise InternalConsistencyError(
                 f"signature ({v}, {sorted(values)}) is not that of {p!r}")

@@ -47,6 +47,14 @@ class Polynomial:
                 d[tuple(w)] = d.get(tuple(w), 0) + c
         self.coeffs = d
 
+    @classmethod
+    def _canonical(cls, coeffs: dict) -> "Polynomial":
+        """The polynomial of a dict from tuple words to positive int
+        coefficients, taken as it is, without validation."""
+        p = cls.__new__(cls)
+        p.coeffs = coeffs
+        return p
+
     def get(self, w: Word) -> int:
         return self.coeffs.get(w, 0)
 
@@ -103,6 +111,22 @@ def evaluate_phi(p: Polynomial, s: FiniteSemiring) -> int:
     return acc
 
 
+def phi_each(polys, s: FiniteSemiring):
+    """evaluate_phi of each polynomial in turn.  Each term c*w is evaluated
+    once per call, as the one-term polynomial, and a polynomial's terms are
+    added in its own order, which is shortlex for enumerated ones."""
+    terms = {}
+    add = s.add
+    for p in polys:
+        acc = s.zero
+        for term in p.coeffs.items():
+            val = terms.get(term)
+            if val is None:
+                val = terms[term] = evaluate_phi(Polynomial((term,)), s)
+            acc = add[acc][val]
+        yield acc
+
+
 class TruncatedSeries:
     """Length-truncated power series with naturals-with-infinity coefficients,
     read only as an upper bound on the polynomials below it."""
@@ -146,9 +170,10 @@ def _polys_below(bounds: dict) -> list:
     """Every polynomial whose coefficient on each word w is at most
     bounds[w] (and zero off those words), in lexicographic order of the
     coefficient vector over the shortlex-sorted words."""
-    support = sorted(bounds, key=word_key)
-    return [Polynomial({w: c for w, c in zip(support, combo) if c})
-            for combo in itertools.product(*(range(bounds[w] + 1) for w in support))]
+    terms = [[None] + [(w, c) for c in range(1, bounds[w] + 1)]
+             for w in sorted(bounds, key=word_key)]
+    return [Polynomial._canonical(dict(filter(None, combo)))
+            for combo in itertools.product(*terms)]
 
 
 def enumerate_below(p: Polynomial):
@@ -165,6 +190,8 @@ def count_below(p: Polynomial) -> int:
 def enumerate_below_series(r: TruncatedSeries, cap: int):
     """Polynomials coefficientwise below a series, with infinite coefficients
     capped at the given finite value."""
+    if cap < 0:
+        raise ValueError(f"cap must be nonnegative, got {cap!r}")
     return _polys_below({w: cap if c.rank else min(c.n, cap)
                          for w, c in r.coeffs.items()})
 

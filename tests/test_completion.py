@@ -27,7 +27,7 @@ from semirings.gallery import (NINF_INF, boolean, four_valued,
                                nat_infinity, ninf, powerset_semiring,
                                xor_semiring)
 from semirings.series import (POLY_ZERO, Polynomial, TruncatedSeries,
-                              enumerate_below, enumerate_below_series,
+                              count_below, enumerate_below, enumerate_below_series,
                               evaluate_phi)
 
 
@@ -86,6 +86,25 @@ def test_lesssim_refuses_unorderable_carrier():
     _, o = is_orderable(boolean())
     with pytest.raises(NotOrderableError):
         lesssim(POLY_ZERO, POLY_ZERO, s, o)
+
+
+def test_lesssim_refuses_a_cap_below_one_before_enumerating(monkeypatch):
+    # at cap 0 the series inf*[1] would read as the zero polynomial alone,
+    # and 1*[1] = 1 is not below 0 on boolean
+    s = boolean()
+    _, o = is_orderable(s)
+    r = TruncatedSeries(1, {(1,): NINF_INF})
+
+    def refuse(*args):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(completion, "enumerate_below", refuse)
+    monkeypatch.setattr(completion, "enumerate_below_series", refuse)
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="cap must be at least 1"):
+            lesssim(r, POLY_ZERO, s, o, cap=cap)
+        with pytest.raises(ValueError, match="cap must be at least 1"):
+            sim_verdict(r, POLY_ZERO, s, o, cap=cap)
 
 
 def test_lesssim_brute_force_and_reduced_criteria_cross_check():
@@ -182,6 +201,33 @@ def test_lesssim_matches_the_list_based_oracle():
             seen["holds" if half.holds else "inconclusive" if half.inconclusive
                  else "witness"] += 1
     assert min(seen.values()) > 0, seen
+
+
+def test_sim_verdict_matches_the_list_based_oracle_on_large_below_sets():
+    # 10^3 to 10^4 polynomials per side; on boolean the first polynomial
+    # below p that escapes q is the 1502nd, 1*[], after 1501 of value 0
+    cases = [
+        (boolean(), [({(): 1, (0,): 1500}, {(0,): 2000}),
+                     ({(1,): 999}, {(0,): 99, (1,): 49})]),
+        (gallery_semiring("powerset:2").base, [({(1,): 40, (2,): 40}, {(1,): 3000}),
+                                               ({(1,): 60, (2, 3): 60}, {(2,): 99, (1,): 29})]),
+        (nat_desk(2), [({(1,): 40, (0, 2): 40}, {(2,): 2, (0,): 1500}),
+                       ({(0,): 1200, (1,): 1}, {(1,): 3, (0,): 800})]),
+    ]
+    positions = []
+    for s, pairs in cases:
+        _, o = is_orderable(s)
+        for p, q in pairs:
+            p, q = Polynomial(p), Polynomial(q)
+            assert all(10**3 <= count_below(x) <= 10**4 for x in (p, q))
+            fwd, bwd = _oracle_lesssim(p, q, s, o), _oracle_lesssim(q, p, s, o)
+            want = completion.CongruenceVerdict(
+                fwd[0], bwd[0], fwd[1] if fwd[1] is not None else bwd[1])
+            assert sim_verdict(p, q, s, o) == want, (s, p, q)
+            if want.witness is not None:
+                side = p if fwd[1] is not None else q
+                positions.append(enumerate_below(side).index(want.witness))
+    assert max(positions) > 1000, positions
 
 
 class _CountingOrder:

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from semirings.completion import lesssim
-from semirings.core import is_orderable
-from semirings.gallery import (NINF_INF, NINF_ZERO, boolean, ninf, ninf_add,
-                               three_valued)
+from semirings.core import enumerate_semirings, is_orderable
+from semirings.gallery import (NINF_INF, NINF_ZERO, boolean, gallery_semiring,
+                               ninf, ninf_add, three_valued, xor_semiring)
 from semirings.series import (POLY_ONE, POLY_ZERO, Polynomial, TruncatedSeries,
                               count_below, embed_e, enumerate_below,
-                              enumerate_below_series, evaluate_phi,
+                              enumerate_below_series, evaluate_phi, phi_each,
                               pointwise_leq, poly_from_text, poly_to_text)
 
 
@@ -167,6 +167,14 @@ def test_poly_addition_commutes(items1, items2):
 
 # -- coefficientwise order --------------------------------------------------------
 
+def test_enumerate_below_series_refuses_a_negative_cap():
+    r = TruncatedSeries(1, {(1,): NINF_INF})
+    with pytest.raises(ValueError, match="cap must be nonnegative"):
+        enumerate_below_series(r, -1)
+    # cap 0 still gives the zero polynomial
+    assert enumerate_below_series(r, 0) == [POLY_ZERO]
+
+
 def test_enumerate_below_counts():
     p = Polynomial({(0,): 2})
     below = enumerate_below(p)
@@ -278,6 +286,66 @@ def test_lesssim_witness_is_the_first_failing_polynomial():
     r = TruncatedSeries(1, {(): ninf(1), (1,): NINF_INF, (2,): ninf(1)})
     half = lesssim(r, one_finite, s, o, cap=3)
     assert half.holds is False and half.witness == Polynomial({(2,): 1})
+
+
+# -- the below-set kernel: per-call term table and unvalidated polynomials ---------
+
+def _kernel_tables():
+    """Every orderable table of size <= 3, powerset:2 and lang:1:2."""
+    tables = [s for n in (1, 2, 3) for s in enumerate_semirings(n) if is_orderable(s)[0]]
+    return tables + [gallery_semiring(name).base for name in ("powerset:2", "lang:1:2")]
+
+
+def _kernel_sides(rng, s):
+    """The below-lists of random polynomial sides (support <= 3, words of
+    length <= 2, coefficients <= 3) and of random series sides at caps 2
+    and 3, and the polynomial sides themselves."""
+    polys = [random_poly(rng, s.n, max_len=2) for _ in range(4)]
+    series = [random_series(rng, alphabet=s.n) for _ in range(2)]
+    lists = [enumerate_below(p) for p in polys]
+    lists += [enumerate_below_series(r, cap) for r in series for cap in (2, 3)]
+    return lists, polys
+
+
+def test_phi_each_matches_evaluate_phi_on_random_sides():
+    rng = random.Random(24)
+    tables = _kernel_tables()
+    assert len(tables) == 8
+    for s in tables:
+        lists, polys = _kernel_sides(rng, s)
+        for xs in lists + [polys]:
+            assert list(phi_each(xs, s)) == [evaluate_phi(x, s) for x in xs], s
+
+
+def test_enumerated_polynomials_are_canonical():
+    rng = random.Random(25)
+    for s in _kernel_tables():
+        for xs in _kernel_sides(rng, s)[0]:
+            for x in xs:
+                y = Polynomial(x.coeffs)
+                assert x == y and hash(x) == hash(y) and repr(x) == repr(y)
+                assert 0 not in x.coeffs.values()
+
+
+def test_phi_each_refuses_a_foreign_letter_as_evaluate_phi_does():
+    s = boolean()
+    bad = Polynomial({(0,): 1, (0, 5): 2})
+    with pytest.raises(ValueError) as want:
+        evaluate_phi(bad, s)
+    with pytest.raises(ValueError) as got:
+        list(phi_each([POLY_ONE, bad], s))
+    assert str(got.value) == str(want.value) == "letter 5 is not in the carrier"
+
+
+def test_phi_each_term_table_is_per_call():
+    # the same terms on two tables of size 2: on boolean 1 + 1 = 1, on xor
+    # 1 + 1 = 0, so a table kept across calls and keyed by the term alone
+    # would give the later calls the first table's values
+    polys = enumerate_below(Polynomial({(1,): 2, (1, 1): 1}))
+    own = {s.add: [evaluate_phi(x, s) for x in polys] for s in (boolean(), xor_semiring())}
+    assert len({tuple(v) for v in own.values()}) == 2
+    for s in (boolean(), xor_semiring(), boolean()):
+        assert list(phi_each(polys, s)) == own[s.add]
 
 
 # -- text form ------------------------------------------------------------------------
