@@ -22,6 +22,6 @@ from .gallery import (NInfElement, OmegaMinusElement, adjoin_infinity, boolean,
                       nat_infinity, omega_plus_reverse, powerset_semiring,
                       three_valued)
 from .series import (Polynomial, TruncatedSeries, embed_e, enumerate_below,
-                     evaluate_phi, pointwise_leq, poly_from_text, poly_to_text)
+                     evaluate_phi, poly_from_text, poly_to_text)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

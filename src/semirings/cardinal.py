@@ -516,12 +516,13 @@ def eventually_constant_sum(c: SigmaSemiring, seq: OmegaSequence):
     for a in seq.prefix:
         acc = c.plus(acc, a)
     run = 0
-    for a in seq.cycle * (c.carrier_bound + 2):
-        nxt = c.plus(acc, a)
-        run = run + 1 if nxt == acc else 0
-        if run == len(seq.cycle):
-            return nxt
-        acc = nxt
+    for _ in range(c.carrier_bound + 2):
+        for a in seq.cycle:
+            nxt = c.plus(acc, a)
+            run = run + 1 if nxt == acc else 0
+            if run == len(seq.cycle):
+                return nxt
+            acc = nxt
     return None
 
 

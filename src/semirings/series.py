@@ -16,7 +16,7 @@ import re
 
 from .core import FiniteSemiring
 from .cardinal import nfold
-from .gallery import NINF_ZERO, NInfElement, ninf, ninf_add
+from .gallery import NINF_ZERO, NInfElement, ninf_add
 
 Word = tuple
 
@@ -154,16 +154,6 @@ class TruncatedSeries:
 
     def __repr__(self):
         return f"Series(maxlen={self.maxlen}; {_terms(self.coeffs, list) or 0})"
-
-
-def pointwise_leq(x, y) -> bool:
-    """Coefficientwise comparison; this coincides with the natural order
-    (some t with x + t = y) because coefficients live in an ordered chain."""
-    if isinstance(x, Polynomial) and isinstance(y, TruncatedSeries):
-        return all(ninf(c) <= y.get(w) for w, c in x.coeffs.items())
-    if isinstance(x, (Polynomial, TruncatedSeries)) and type(x) is type(y):
-        return all(c <= y.get(w) for w, c in x.coeffs.items())
-    raise TypeError(f"cannot compare {type(x).__name__} with {type(y).__name__}")
 
 
 def _polys_below(bounds: dict) -> list:

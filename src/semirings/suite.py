@@ -12,9 +12,9 @@ import functools
 from dataclasses import dataclass
 
 from . import gallery
-from .cardinal import (ALEPH0, UNCOUNTABLE, characteristic_cardinality,
-                       family_battery, is_d_complete, is_finitary,
-                       omega_sequence_battery)
+from .cardinal import (ALEPH0, UNCOUNTABLE, OmegaSequence,
+                       characteristic_cardinality, family_battery,
+                       is_d_complete, is_finitary, omega_sequence_battery)
 from .cardinal import check_sigma_axioms as sigma_axiom_battery
 from .completion import (NotOrderableError, collapse_holds,
                          completion_of_finite, no_universal_complete_demo)
@@ -144,46 +144,37 @@ def _classify(member, cfg: SuiteConfig):
     return d_ok, d_wit, f_ok, f_wit, lam
 
 
+# (member, d-complete, finitary, lambda1), None where nothing is asserted:
+# the paper's examples of d-complete and finitary, of not d-complete, and of
+# d-complete but not finitary with lambda1 uncountable and aleph0
+_MATRIX = (
+    ("nat-infinity", True, True, None),
+    ("powerset:3", True, True, None),
+    ("lang:1:2", True, True, None),
+    ("three-valued", False, None, None),
+    ("four-valued", True, False, UNCOUNTABLE),
+    ("omega-minus", True, False, ALEPH0),
+)
+
+
 def criterion_classification(cfg: SuiteConfig, ctx=None) -> CriterionResult:
     ctx = ctx or _Pass()
     problems = []
     members = {m.name: m for m in ctx.members}
-
-    for name in ("nat-infinity", "powerset:3", "lang:1:2"):
-        d_ok, _, f_ok, _, _ = ctx.classify(members[name], cfg)
-        if not (d_ok and f_ok):
-            problems.append(f"{name} should be finitary and d-complete")
-
-    three = members["three-valued"]
-    d_ok, d_wit, _, _, _ = ctx.classify(three, cfg)
-    if d_ok:
-        problems.append("three-valued should fail d-completeness")
-    else:
-        want = (three.base.index_of("finite"),)
-        if d_wit.sequence.cycle != want or d_wit.sequence.prefix != ():
+    for name, *want in _MATRIX:
+        m = members[name]
+        d_ok, d_wit, f_ok, f_wit, lam = ctx.classify(m, cfg)
+        for cell, w, got in zip(("d-complete", "finitary", "lambda1"), want,
+                                (d_ok, f_ok, lam.lambda1)):
+            if w is not None and got != w:
+                problems.append(f"{name} {cell} is {got!r}, expected {w!r}")
+        if name == "three-valued" and not d_ok and (
+                d_wit.sequence != OmegaSequence((), (m.base.index_of("finite"),))):
             problems.append(f"three-valued witness is {d_wit.sequence}, expected "
                             f"the constant 'finite' sequence")
-
-    four = members["four-valued"]
-    d_ok, _, f_ok, f_wit, lam = ctx.classify(four, cfg)
-    if not d_ok:
-        problems.append("four-valued should be d-complete")
-    if f_ok:
-        problems.append("four-valued should fail the finitary test")
-    if lam.lambda1 != UNCOUNTABLE:
-        problems.append(f"four-valued lambda1 is {lam.lambda1!r}, expected uncountable")
-
-    omega = members["omega-minus"]
-    d_ok, _, f_ok, f_wit, lam = ctx.classify(omega, cfg)
-    if not d_ok:
-        problems.append("omega-minus should be d-complete")
-    if lam.lambda1 != ALEPH0:
-        problems.append(f"omega-minus lambda1 is {lam.lambda1!r}, expected aleph0")
-    if f_ok:
-        problems.append("omega-minus should fail the finitary test")
-    elif f_wit.reason != "sup-missing":
-        problems.append(f"omega-minus witness should be a missing sup, got "
-                        f"{f_wit.reason}")
+        if name == "omega-minus" and not f_ok and f_wit.reason != "sup-missing":
+            problems.append(f"omega-minus witness should be a missing sup, got "
+                            f"{f_wit.reason}")
     detail = ("classification matrix for the six example semirings"
               + (f"; problems: {problems}" if problems else ""))
     return CriterionResult(4, "classification-matrix", not problems, detail)

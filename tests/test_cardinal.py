@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -407,6 +408,19 @@ def test_constant_after_prefix_sequence():
 def test_growing_sequence_has_no_constant():
     c = nat_infinity()
     assert eventually_constant_sum(c, OmegaSequence((), (ninf(1),))) is None
+
+
+def test_constant_sum_walks_a_long_cycle_without_copying_it():
+    # the horizon is 34 cycles on a symbolic carrier; a copy of them would
+    # hold 68,000 references (544 kB) before the first addition
+    seq = OmegaSequence((), (ninf(1),) * 2_000)
+    tracemalloc.start()
+    try:
+        assert eventually_constant_sum(nat_infinity(), seq) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64_000
 
 
 def _constant_sum_full_horizon(c, seq):

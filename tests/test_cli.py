@@ -219,7 +219,8 @@ def test_selftest_other_seed_same_verdicts():
     assert verdicts == others
 
 
-@pytest.mark.parametrize("seed, battery", [(1, None), (1, 60), (2, 60), (3, 60)])
+@pytest.mark.parametrize("seed, battery", [(1, None), (1, 60), (2, 60), (3, 60),
+                                          (777, None), (777, 60)])
 def test_selftest_matches_golden(capsys, seed, battery):
     args = ["selftest", "--seed", str(seed)]
     name = f"selftest_seed{seed}.txt"

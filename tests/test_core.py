@@ -512,8 +512,8 @@ def test_check_ordered_reports_least_witness_per_law():
 def _ordered_scan(s, o):
     """check_ordered_semiring as it was written before the cover pairs:
     zero-least, then each monotonicity law over every strict pair, with the
-    least (a, b, x) witness per law.  Kept as the oracle for the cover
-    scan and its fallback."""
+    least (a, b, x) witness per law.  Kept as the oracle for the single
+    scan over the strict pairs."""
     violations = []
     above = next((a for a in range(s.n) if not o.leq(s.zero, a)), None)
     if above is not None:
@@ -533,29 +533,39 @@ def _random_tables(rng, n):
     return [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
 
 
+def _overwrite(s, table, a, b, v):
+    """s with cell (a, b) of its add or mul table set to v."""
+    rows = {"add": [list(r) for r in s.add], "mul": [list(r) for r in s.mul]}
+    rows[table][a][b] = v
+    return FiniteSemiring.from_tables(s.elements, s.zero, s.one, rows["add"],
+                                      rows["mul"])
+
+
 def test_check_ordered_matches_the_full_pair_scan_on_small_tables():
     rng = random.Random(5)
     tables = [s for n in (1, 2, 3) for s in enumerate_semirings(n)]
     tables += [FiniteSemiring.from_tables("0ab"[:n], 0, 1 % n, _random_tables(rng, n),
                                           _random_tables(rng, n))
                for n in (2, 3) for _ in range(150)]
+    pairs = [(s, o) for s in tables for o in all_partial_orders(s.n)]
+    # the inclusion orders of two larger members, which pass, and one cell
+    # overwrite per table that breaks that table's monotonicity law there
+    for name in ("powerset:4", "lang:2:2"):
+        member = gallery_semiring(name)
+        s, o = member.base, member.order
+        top = next(t for t in range(s.n) if o.up_masks[t] == 1 << t)
+        assert not _ordered_scan(s, o)
+        pairs.append((s, o))
+        for table, law in (("add", "add-monotone"), ("mul", "mul-monotone-right")):
+            broken = _overwrite(s, table, top, top, s.zero)
+            assert law in dict(_ordered_scan(broken, o))
+            pairs.append((broken, o))
     outcomes = Counter()
-    for s in tables:
-        for o in all_partial_orders(s.n):
-            want = _ordered_scan(s, o)
-            assert check_ordered_semiring(s, o).violations == want, (s, o)
-            outcomes[bool(want)] += 1
+    for s, o in pairs:
+        want = _ordered_scan(s, o)
+        assert check_ordered_semiring(s, o).violations == want, (s, o)
+        outcomes[bool(want)] += 1
     assert outcomes[True] and outcomes[False]
-
-
-def test_covers_generate_the_order():
-    orders = [o for n in range(1, 6) for o in all_partial_orders(n)]
-    orders.append(gallery_semiring("lang:2:2").order)
-    for o in orders:
-        covers = o.covers()
-        assert PartialOrder.from_pairs(o.n, covers) == o
-        assert all(not (o.leq(a, c) and o.leq(c, b)) for a, b in covers
-                   for c in range(o.n) if c not in (a, b))
 
 
 def test_json_rejects_boolean_indices():

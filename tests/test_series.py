@@ -10,7 +10,18 @@ from semirings.gallery import (NINF_INF, NINF_ZERO, boolean, gallery_semiring,
 from semirings.series import (POLY_ONE, POLY_ZERO, Polynomial, TruncatedSeries,
                               count_below, embed_e, enumerate_below,
                               enumerate_below_series, evaluate_phi, phi_each,
-                              pointwise_leq, poly_from_text, poly_to_text)
+                              poly_from_text, poly_to_text)
+
+
+def pointwise_leq(x, y) -> bool:
+    """The oracle for the natural order on polynomials and series:
+    coefficientwise comparison, which coincides with it (some t with
+    x + t = y) because coefficients live in an ordered chain."""
+    if isinstance(x, Polynomial) and isinstance(y, TruncatedSeries):
+        return all(ninf(c) <= y.get(w) for w, c in x.coeffs.items())
+    if isinstance(x, (Polynomial, TruncatedSeries)) and type(x) is type(y):
+        return all(c <= y.get(w) for w, c in x.coeffs.items())
+    raise TypeError(f"cannot compare {type(x).__name__} with {type(y).__name__}")
 
 
 def random_poly(rng, n, max_support=3, max_len=3, max_coeff=3):

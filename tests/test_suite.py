@@ -1,9 +1,13 @@
 """One suite pass shares its members and its classifications; a rerun
 shares nothing with the pass before it."""
 
+import dataclasses
 from collections import Counter
 
+import pytest
+
 from semirings import suite
+from semirings.cardinal import UNCOUNTABLE, OmegaSequence
 from semirings.suite import (SuiteConfig, criterion_classification,
                              criterion_fact_implications, run_criteria,
                              run_selftest)
@@ -57,3 +61,36 @@ def test_a_failed_collapse_counts_its_signatures(monkeypatch):
     result = suite.criterion_main_theorem(CFG)
     assert not result.passed
     assert "congruence collapse failed on n=3 (4 signatures)" in result.detail
+
+
+def _prefixed_witness(d_wit):
+    seq = d_wit.sequence
+    return dataclasses.replace(d_wit, sequence=OmegaSequence(seq.cycle, seq.cycle))
+
+
+# one wrong classification each: (member, change to (d_ok, d_wit, f_ok, f_wit, lam))
+_WRONG = {
+    "d-complete cell": ("nat-infinity", lambda d, dw, f, fw, lam: (False, dw, f, fw, lam)),
+    "finitary cell": ("four-valued", lambda d, dw, f, fw, lam: (d, dw, True, fw, lam)),
+    "lambda1 cell": ("omega-minus", lambda d, dw, f, fw, lam: (
+        d, dw, f, fw, dataclasses.replace(lam, lambda1=UNCOUNTABLE))),
+    "three-valued witness": ("three-valued", lambda d, dw, f, fw, lam: (
+        d, _prefixed_witness(dw), f, fw, lam)),
+    "omega-minus reason": ("omega-minus", lambda d, dw, f, fw, lam: (
+        d, dw, f, dataclasses.replace(fw, sup_status="exists"), lam)),
+}
+
+
+@pytest.mark.parametrize("wrong", list(_WRONG))
+def test_a_wrong_classification_fails_criterion_four(monkeypatch, wrong):
+    name, change = _WRONG[wrong]
+    real = suite._classify
+
+    def classify(member, cfg):
+        got = real(member, cfg)
+        return change(*got) if member.name == name else got
+
+    monkeypatch.setattr(suite, "_classify", classify)
+    result = criterion_classification(CFG)
+    assert not result.passed
+    assert name in result.detail
