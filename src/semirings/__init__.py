@@ -15,8 +15,7 @@ from .core import (CheckReport, FiniteSemiring, PartialOrder, QuasiOrder,
                    check_ordered_semiring, check_semiring_axioms,
                    enumerate_semirings, is_orderable, is_zero_sum_free,
                    natural_quasiorder, random_semiring,
-                   search_compatible_order, semiring_from_json,
-                   semiring_to_json)
+                   search_compatible_order, semiring_from_json)
 from .gallery import (NInfElement, OmegaMinusElement, adjoin_infinity, boolean,
                       four_valued, gallery_semiring, language_semiring,
                       nat_infinity, omega_plus_reverse, powerset_semiring,

@@ -507,22 +507,21 @@ class DCompleteWitness:
 def eventually_constant_sum(c: SigmaSemiring, seq: OmegaSequence):
     """The eventual constant of the partial sums, or None.
 
-    If a partial sum stays fixed over one full cycle it is fixed forever
-    (each cycle element then satisfies v + a = v), so the walk adds the
-    prefix, then whole cycles, and stops at the first run of len(cycle)
-    additions that leave the sum unchanged.  None means no such run
-    within the horizon of carrier_bound + 2 cycles."""
-    acc = c.zero
+    A partial sum that every cycle element fixes is fixed forever, and + is
+    commutative, so after the prefix P and k whole cycles the sum is P + kC,
+    C being the cycle's sum.  The walk adds P and C once each, then returns
+    the first P + kC, k <= carrier_bound + 1, that C and then every cycle
+    element fixes; None means there is none."""
+    acc = total = c.zero
     for a in seq.prefix:
         acc = c.plus(acc, a)
-    run = 0
+    for a in seq.cycle:
+        total = c.plus(total, a)
     for _ in range(c.carrier_bound + 2):
-        for a in seq.cycle:
-            nxt = c.plus(acc, a)
-            run = run + 1 if nxt == acc else 0
-            if run == len(seq.cycle):
-                return nxt
-            acc = nxt
+        nxt = c.plus(acc, total)
+        if nxt == acc and all(c.plus(acc, a) == acc for a in seq.cycle):
+            return acc
+        acc = nxt
     return None
 
 

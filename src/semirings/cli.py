@@ -222,18 +222,6 @@ def _sigma_table(c: SigmaSemiring, probe_elems) -> list[str]:
 
 def cmd_complete(cfg: RunConfig) -> int:
     source = cfg.inputs[0]
-    if source == "nat":
-        ninf = gallery_semiring("nat-infinity")
-        payload = {
-            "command": "complete",
-            "input": "nat",
-            "completion": "nat-infinity",
-            "note": "adds the top element inf; sigma is the least upper "
-                    "bound of the finite subsums",
-            "sigma-table": _sigma_table(ninf, ninf.sample(4)),
-        }
-        _emit(cfg, payload)
-        return 0
     s, order = _load_semiring(source)
     try:
         result = completion_of_finite(s, order)

@@ -68,26 +68,49 @@ def down_set(values, s: FiniteSemiring, o) -> frozenset:
     return frozenset(x for x in range(s.n) if any(o.leq(x, v) for v in values))
 
 
-def _below(x, cap: int):
-    if isinstance(x, Polynomial):
-        return enumerate_below(x)
-    if isinstance(x, TruncatedSeries):
-        return enumerate_below_series(x, cap)
-    raise TypeError(f"expected Polynomial or TruncatedSeries, got {type(x).__name__}")
+class _Side:
+    """One argument of the precongruence, enumerated at most once per cap it
+    is read at; a polynomial's below-set ignores the cap, so one list serves
+    every cap.  A read keeps [the list, the set of its phi values, that
+    set's down_set], the last built the first time the side plays q.  The
+    enumerators are looked up on this module at call time."""
+
+    __slots__ = ("x", "s", "o", "_reads")
+
+    def __init__(self, x, s: FiniteSemiring, o):
+        if not isinstance(x, (Polynomial, TruncatedSeries)):
+            raise TypeError(f"expected Polynomial or TruncatedSeries, got {type(x).__name__}")
+        self.x, self.s, self.o, self._reads = x, s, o, {}
+
+    def read(self, cap: int) -> list:
+        key = None if isinstance(self.x, Polynomial) else cap
+        if key not in self._reads:
+            below = enumerate_below(self.x) if key is None else enumerate_below_series(self.x, cap)
+            self._reads[key] = [below, set(phi_each(below, self.s)), None]
+        return self._reads[key]
+
+    def down(self, cap: int) -> frozenset:
+        read = self.read(cap)
+        if read[2] is None:
+            read[2] = down_set(read[1], self.s, self.o)
+        return read[2]
 
 
-def _lesssim_brute(p_list, q_list, s, o) -> LesssimHalf:
-    below_q = down_set(set(phi_each(q_list, s)), s, o)
-    for p1, v in zip(p_list, phi_each(p_list, s)):
-        if v not in below_q:
-            return LesssimHalf(False, p1)
-    return LesssimHalf(True)
+def _half(p: _Side, q: _Side, cap: int) -> LesssimHalf:
+    below_p, values, _ = p.read(cap)
+    below_q = q.down(cap)
+    if values <= below_q:
+        return LesssimHalf(True)
+    return LesssimHalf(False, next(p1 for p1, v in zip(below_p, phi_each(below_p, p.s))
+                                   if v not in below_q))
 
 
 def lesssim(p, q, s: FiniteSemiring, o: PartialOrder, cap: int = 3) -> LesssimHalf:
-    """Brute-force precongruence check: the value of every polynomial below
-    p must lie in the down_set of the values below q; the witness is the
-    first polynomial below p, in enumeration order, whose value does not.
+    """Brute-force precongruence check: the set V(p) of phi values below p
+    must lie in the down_set of V(q).  Only when it does not is p's list
+    walked again, for the witness: its first polynomial, in enumeration
+    order, whose value falls outside.  A bare polynomial or series is
+    enumerated here; sim_verdict passes sides shared by its two calls.
 
     For polynomial arguments the verdict is exact and additionally compared
     against the reduced criterion phi(p) <= phi(q); a disagreement would
@@ -100,23 +123,28 @@ def lesssim(p, q, s: FiniteSemiring, o: PartialOrder, cap: int = 3) -> LesssimHa
     ok, wit = is_orderable(s)
     if not ok:
         raise NotOrderableError(wit)
-    both_poly = isinstance(p, Polynomial) and isinstance(q, Polynomial)
-    if both_poly:
-        verdict = _lesssim_brute(enumerate_below(p), enumerate_below(q), s, o)
-        reduced = o.leq(evaluate_phi(p, s), evaluate_phi(q, s))
+    p, q = (x if isinstance(x, _Side) else _Side(x, s, o) for x in (p, q))
+    if isinstance(p.x, Polynomial) and isinstance(q.x, Polynomial):
+        verdict = _half(p, q, cap)
+        reduced = o.leq(evaluate_phi(p.x, s), evaluate_phi(q.x, s))
         if verdict.holds != reduced:
             raise InternalConsistencyError(
                 f"brute-force and reduced precongruence criteria disagree on "
-                f"({p!r}, {q!r}): {verdict.holds} vs {reduced}")
+                f"({p.x!r}, {q.x!r}): {verdict.holds} vs {reduced}")
         return verdict
-    lo = _lesssim_brute(_below(p, cap - 1), _below(q, cap - 1), s, o)
-    hi = _lesssim_brute(_below(p, cap), _below(q, cap), s, o)
-    if lo.holds != hi.holds:
+    lo = p.read(cap - 1)[1] <= q.down(cap - 1)
+    hi = _half(p, q, cap)
+    if lo != hi.holds:
         return LesssimHalf(None)
     return hi
 
 
 def sim_verdict(p, q, s: FiniteSemiring, o: PartialOrder, cap: int = 3) -> CongruenceVerdict:
+    """Both halves, p <~ q and q <~ p, over one side object per argument:
+    each side is enumerated once per cap (a polynomial once in all), and its
+    value set and down-set serve both lesssim calls.  The witness is the
+    forward half's, else the backward half's."""
+    p, q = _Side(p, s, o), _Side(q, s, o)
     fwd = lesssim(p, q, s, o, cap)
     bwd = lesssim(q, p, s, o, cap)
     witness = fwd.witness if fwd.witness is not None else bwd.witness

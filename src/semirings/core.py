@@ -633,19 +633,6 @@ def random_semiring(n: int, seed: int) -> FiniteSemiring:
             return FiniteSemiring(labels, 0, 1, add, rng.choice(partners))
 
 
-def semiring_to_json(s: FiniteSemiring, order: PartialOrder | None = None) -> str:
-    doc = {
-        "elements": list(s.elements),
-        "zero": s.zero,
-        "one": s.one,
-        "add": [list(row) for row in s.add],
-        "mul": [list(row) for row in s.mul],
-    }
-    if order is not None:
-        doc["order"] = order.pairs()
-    return json.dumps(doc, sort_keys=True)
-
-
 def semiring_from_json(text: str):
     """Parse the FiniteSemiring JSON document; returns (semiring, order|None).
 

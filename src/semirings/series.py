@@ -88,7 +88,6 @@ class Polynomial:
 
 
 POLY_ZERO = Polynomial()
-POLY_ONE = Polynomial({(): 1})
 
 
 def embed_e(a: int) -> Polynomial:

@@ -18,7 +18,7 @@ from semirings.cardinal import (ALEPH0, Cardinal, CardinalFamily, FIN0, FIN1,
                                 parse_cardinal, sup_in_order)
 from semirings.completion import completion_of_finite, completion_semiring
 from semirings.core import (FiniteSemiring, InternalConsistencyError, PartialOrder,
-                            all_partial_orders,
+                            _comm_monoid_tables, all_partial_orders,
                             enumerate_semirings, is_orderable, is_zero_sum_free)
 from semirings.gallery import (NINF_INF, OMEGA_INF, adjoin_infinity, boolean,
                                four_valued, gallery_semiring, language_semiring, nat_desk,
@@ -423,6 +423,25 @@ def test_constant_sum_walks_a_long_cycle_without_copying_it():
     assert peak < 64_000
 
 
+def _constant_sum_walk(c, seq):
+    """eventually_constant_sum as it was written before the cycle-sum steps:
+    every addition in turn, up to the first run of len(cycle) additions that
+    leave the sum unchanged, within carrier_bound + 2 cycles.  Kept as the
+    oracle for the steps of P + kC."""
+    acc = c.zero
+    for a in seq.prefix:
+        acc = c.plus(acc, a)
+    run = 0
+    for _ in range(c.carrier_bound + 2):
+        for a in seq.cycle:
+            nxt = c.plus(acc, a)
+            run = run + 1 if nxt == acc else 0
+            if run == len(seq.cycle):
+                return nxt
+            acc = nxt
+    return None
+
+
 def _constant_sum_full_horizon(c, seq):
     """eventually_constant_sum as it was written before the early stop:
     every partial sum up to the horizon, then the constant tail.  Kept as
@@ -444,22 +463,15 @@ def _constant_sum_full_horizon(c, seq):
     return tail if run >= cyc + 1 else None
 
 
-def _identity_zero_tables(n):
-    """Every addition table on {0..n-1} with 0 as its identity; the walk
-    reads nothing else, so the other laws need not hold."""
-    for cells in itertools.product(range(n), repeat=(n - 1) ** 2):
-        rest = iter(cells)
-        yield [list(range(n))] + [[i] + [next(rest) for _ in range(1, n)]
-                                  for i in range(1, n)]
-
-
 def test_constant_sum_matches_the_full_horizon_on_every_small_table():
+    # every commutative monoid table with identity 0: the steps of P + kC
+    # read associativity and commutativity, and nothing else of a semiring
     seen = Counter()
-    for n in (1, 2, 3):
+    for n, longest in ((1, 4), (2, 4), (3, 4), (4, 3)):
         elems = range(n)
-        cycles = [cyc for k in (1, 2, 3, 4) for cyc in itertools.product(elems, repeat=k)]
+        cycles = [cyc for k in range(1, longest + 1) for cyc in itertools.product(elems, repeat=k)]
         prefixes = [()] + [(v,) for v in elems]
-        for add in _identity_zero_tables(n):
+        for add in _comm_monoid_tables(n):
             base = FiniteSemiring.from_tables([str(i) for i in elems], 0, 0, add, add)
             c = SigmaSemiring.from_finite("t", base, sigma_fn=None)
             for prefix in prefixes:
@@ -467,6 +479,7 @@ def test_constant_sum_matches_the_full_horizon_on_every_small_table():
                     seq = OmegaSequence(prefix, cyc)
                     want = _constant_sum_full_horizon(c, seq)
                     assert eventually_constant_sum(c, seq) == want, (add, seq)
+                    assert _constant_sum_walk(c, seq) == want, (add, seq)
                     seen[want is None] += 1
     assert seen[True] and seen[False]
 
@@ -488,6 +501,7 @@ def test_constant_sum_matches_the_full_horizon_on_the_gallery(name):
                             tuple(rng.choices(sample, k=rng.randrange(1, 5))))
         want = _constant_sum_full_horizon(c, seq)
         assert eventually_constant_sum(c, seq) == want, seq
+        assert _constant_sum_walk(c, seq) == want, seq
         seen[want is None] += 1
     assert seen[False]
 
@@ -499,7 +513,38 @@ def test_constant_sum_horizon_is_carrier_bound_plus_two_cycles():
     for k, want in ((33, OMEGA_INF), (34, None)):
         seq = OmegaSequence((omega_inf_minus(k),), (omega_fin(1),))
         assert eventually_constant_sum(c, seq) == want
+        assert _constant_sum_walk(c, seq) == want
         assert _constant_sum_full_horizon(c, seq) == want
+
+
+def _counting_plus(c):
+    """Make c count its additions; returns the counter."""
+    count = Counter()
+    plus = c.plus
+
+    def counting(a, b):
+        count["plus"] += 1
+        return plus(a, b)
+
+    c.plus = counting
+    return count
+
+
+@pytest.mark.parametrize("cycle, want", [((ninf(1),), None),
+                                         ((ninf(1),) * 2_000, None),
+                                         ((ninf(1),) * 2_000 + (NINF_INF,), NINF_INF)])
+def test_constant_sum_makes_one_addition_per_step_of_the_cycle_sum(cycle, want):
+    # the walk made carrier_bound + 2 passes over a cycle that never
+    # becomes constant: 34 * 2,000 additions for the long one.  The steps
+    # add the cycle once for its sum C, add C once per step, and pass the
+    # cycle once more only at a sum that C fixes
+    c = nat_infinity()
+    seq = OmegaSequence((ninf(3),), cycle)
+    count = _counting_plus(c)
+    assert eventually_constant_sum(c, seq) == want
+    cyc = len(cycle)
+    assert count["plus"] <= 1 + cyc + (c.carrier_bound + 2) + (cyc if want is not None else 0)
+    assert _constant_sum_walk(c, seq) == want
 
 
 def test_three_valued_not_d_complete():

@@ -13,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 from semirings import cardinal, cli, completion, core, gallery, suite
 from semirings.core import (FiniteSemiring, check_semiring_axioms,
                             enumerate_semirings, is_orderable, is_zero_sum_free,
-                            natural_quasiorder, semiring_to_json)
+                            natural_quasiorder)
 from semirings.gallery import boolean, xor_semiring
-from test_core import generator_law_violations
+from test_core import generator_law_violations, semiring_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -102,11 +102,14 @@ def test_complete_xor_exits_one_with_witness(tmp_path):
     assert "witness" in doc
 
 
-def test_complete_nat_reports_nat_infinity():
-    result = run_cli(["complete", "nat", "--format", "json"])
-    assert result.returncode == 0, result.stderr
-    doc = json.loads(result.stdout)
-    assert doc["completion"] == "nat-infinity"
+def test_complete_nat_is_refused_as_an_infinite_carrier():
+    # complete works on tables alone; nat gets the refusal nat-infinity gets
+    for name in ("nat", "nat-infinity"):
+        result = run_cli(["complete", name, "--format", "json"])
+        assert result.returncode == 2, result.stderr
+        assert result.stdout == ""
+        assert result.stderr.strip().splitlines() == [
+            f"error: {name} has an infinite carrier; this command needs tables"]
 
 
 def test_dcomplete_three_valued_fails_with_witness():

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -188,6 +189,7 @@ def _random_series(rng, s) -> TruncatedSeries:
 
 
 def test_lesssim_matches_the_list_based_oracle():
+    # and sim_verdict, whose two halves share each side's enumerations
     rng = random.Random(12)
     seen = {"holds": 0, "witness": 0, "inconclusive": 0}
     for s, o in _ordered_pairs_up_to_4():
@@ -198,6 +200,11 @@ def test_lesssim_matches_the_list_based_oracle():
             half = lesssim(p, q, s, o)
             want = _oracle_lesssim(p, q, s, o)
             assert (half.holds, half.witness, half.inconclusive) == want, (s, o, p, q)
+            back = _oracle_lesssim(q, p, s, o)
+            v = sim_verdict(p, q, s, o)
+            assert (v.lesssim_forward, v.lesssim_backward, v.witness, v.inconclusive) == (
+                want[0], back[0], want[1] if want[1] is not None else back[1],
+                want[2] or back[2]), (s, o, p, q)
             seen["holds" if half.holds else "inconclusive" if half.inconclusive
                  else "witness"] += 1
     assert min(seen.values()) > 0, seen
@@ -251,6 +258,42 @@ def test_lesssim_with_a_late_dominator_compares_each_element_once():
     counting = _CountingOrder(o)
     assert lesssim(p, q, s, counting) == completion.LesssimHalf(True)
     assert counting.calls <= s.n * s.n + 1
+
+
+def _count_enumerations(monkeypatch) -> Counter:
+    """Spy on the two enumerators where completion looks them up."""
+    calls = Counter()
+    for name in ("enumerate_below", "enumerate_below_series"):
+        def spy(*args, _name=name, _real=getattr(completion, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(completion, name, spy)
+    return calls
+
+
+def test_sim_verdict_enumerates_each_side_once_per_cap(monkeypatch):
+    # both halves share each side's lists: a polynomial is one list at
+    # every cap, a series one list at cap - 1 and one at cap
+    s = nat_desk(3)
+    _, o = is_orderable(s)
+    p, q = Polynomial({(1,): 2}), Polynomial({(2,): 1, (1,): 1})
+    r = TruncatedSeries(1, {(1,): NINF_INF, (2,): ninf(1)})
+    calls = _count_enumerations(monkeypatch)
+    for x, y, want in [(p, q, {"enumerate_below": 2}),
+                       (p, r, {"enumerate_below": 1, "enumerate_below_series": 2}),
+                       (r, q, {"enumerate_below": 1, "enumerate_below_series": 2}),
+                       (r, r, {"enumerate_below_series": 4})]:
+        calls.clear()
+        sim_verdict(x, y, s, o)
+        assert calls == want, (x, y)
+    # a failing half walks p's list again for its witness, enumerating nothing
+    calls.clear()
+    assert sim_verdict(q, p, s, o).witness == Polynomial({(2,): 1, (1,): 1})
+    assert calls == {"enumerate_below": 2}
+    # a lone lesssim enumerates each bare argument once per cap it needs
+    calls.clear()
+    lesssim(p, r, s, o)
+    assert calls == {"enumerate_below": 1, "enumerate_below_series": 2}
 
 
 # -- the congruence collapse --------------------------------------------------------

@@ -7,10 +7,12 @@ from semirings.completion import lesssim
 from semirings.core import enumerate_semirings, is_orderable
 from semirings.gallery import (NINF_INF, NINF_ZERO, boolean, gallery_semiring,
                                ninf, ninf_add, three_valued, xor_semiring)
-from semirings.series import (POLY_ONE, POLY_ZERO, Polynomial, TruncatedSeries,
+from semirings.series import (POLY_ZERO, Polynomial, TruncatedSeries,
                               count_below, embed_e, enumerate_below,
                               enumerate_below_series, evaluate_phi, phi_each,
                               poly_from_text, poly_to_text)
+
+POLY_ONE = Polynomial({(): 1})
 
 
 def pointwise_leq(x, y) -> bool:
