@@ -15,9 +15,9 @@ from .cardinal import (ALEPH0, CardinalFamily, SigmaSemiring, UNCOUNTABLE,
                        characteristic_cardinality, check_sigma_table,
                        family_battery, is_finitary, top_subsum)
 from .gallery import four_valued, nat_infinity
-from .series import (POLY_ZERO, Polynomial, TruncatedSeries, embed_e,
-                     enumerate_below, enumerate_below_series, evaluate_phi,
-                     phi_each)
+from .series import (POLY_ZERO, Polynomial, TruncatedSeries, capped_bounds,
+                     embed_e, enumerate_below, enumerate_below_series,
+                     evaluate_phi, phi_each, word_key)
 
 
 class NotOrderableError(ValueError):
@@ -68,12 +68,29 @@ def down_set(values, s: FiniteSemiring, o) -> frozenset:
     return frozenset(x for x in range(s.n) if any(o.leq(x, v) for v in values))
 
 
+def _plus_unit(values, a: int, s: FiniteSemiring):
+    """V | (V + a): V once one more unit of value a may be added."""
+    return values | {s.plus(x, a) for x in values}
+
+
+def _value_set(bounds: dict, s: FiniteSemiring) -> frozenset:
+    """V, the phi values of the polynomials with at most bounds[w] units of
+    each word w, a unit at a time until one adds nothing (at most n per
+    word), in the order the enumerator's list first reaches the words."""
+    values = frozenset((s.zero,))
+    for w in sorted(filter(bounds.get, bounds), key=word_key, reverse=True):
+        a = evaluate_phi(Polynomial._canonical({w: 1}), s)
+        for _ in range(bounds[w]):
+            if len(values) == len(values := _plus_unit(values, a, s)):
+                break
+    return values
+
+
 class _Side:
-    """One argument of the precongruence, enumerated at most once per cap it
-    is read at; a polynomial's below-set ignores the cap, so one list serves
-    every cap.  A read keeps [the list, the set of its phi values, that
-    set's down_set], the last built the first time the side plays q.  The
-    enumerators are looked up on this module at call time."""
+    """One argument of the precongruence, read at most once per cap (a
+    polynomial once in all).  A read keeps [V, down_set(V)], the latter
+    built the first time the side plays q.  Only a failing half's witness
+    enumerates, through the enumerators looked up on this module."""
 
     __slots__ = ("x", "s", "o", "_reads")
 
@@ -85,39 +102,39 @@ class _Side:
     def read(self, cap: int) -> list:
         key = None if isinstance(self.x, Polynomial) else cap
         if key not in self._reads:
-            below = enumerate_below(self.x) if key is None else enumerate_below_series(self.x, cap)
-            self._reads[key] = [below, set(phi_each(below, self.s)), None]
+            bounds = self.x.coeffs if key is None else capped_bounds(self.x, cap)
+            self._reads[key] = [_value_set(bounds, self.s), None]
         return self._reads[key]
 
     def down(self, cap: int) -> frozenset:
         read = self.read(cap)
-        if read[2] is None:
-            read[2] = down_set(read[1], self.s, self.o)
-        return read[2]
+        if read[1] is None:
+            read[1] = down_set(read[0], self.s, self.o)
+        return read[1]
 
 
 def _half(p: _Side, q: _Side, cap: int) -> LesssimHalf:
-    below_p, values, _ = p.read(cap)
-    below_q = q.down(cap)
-    if values <= below_q:
+    if p.read(cap)[0] <= (below_q := q.down(cap)):
         return LesssimHalf(True)
-    return LesssimHalf(False, next(p1 for p1, v in zip(below_p, phi_each(below_p, p.s))
+    below = (enumerate_below(p.x) if isinstance(p.x, Polynomial)
+             else enumerate_below_series(p.x, cap))
+    return LesssimHalf(False, next(p1 for p1, v in zip(below, phi_each(below, p.s))
                                    if v not in below_q))
 
 
 def lesssim(p, q, s: FiniteSemiring, o: PartialOrder, cap: int = 3) -> LesssimHalf:
-    """Brute-force precongruence check: the set V(p) of phi values below p
-    must lie in the down_set of V(q).  Only when it does not is p's list
-    walked again, for the witness: its first polynomial, in enumeration
-    order, whose value falls outside.  A bare polynomial or series is
-    enumerated here; sim_verdict passes sides shared by its two calls.
+    """Brute-force precongruence check: the set V(p) of phi values below p,
+    built from its words' values, must lie in the down_set of V(q).  Only a
+    failing half enumerates p's below-set, for the witness: its first
+    polynomial, in enumeration order, whose value falls outside.  A bare
+    argument is wrapped here; sim_verdict passes sides shared by its calls.
 
     For polynomial arguments the verdict is exact and additionally compared
     against the reduced criterion phi(p) <= phi(q); a disagreement would
     falsify the monotonicity of the evaluation map, so it aborts the run.
     Series arguments cap infinite coefficients and require the verdicts at
-    cap-1 and cap to agree, otherwise the result is inconclusive; a cap
-    below 1 is refused."""
+    cap-1 and cap to agree, otherwise the result is inconclusive and
+    nothing is enumerated; a cap below 1 is refused."""
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap!r}")
     ok, wit = is_orderable(s)
@@ -132,18 +149,16 @@ def lesssim(p, q, s: FiniteSemiring, o: PartialOrder, cap: int = 3) -> LesssimHa
                 f"brute-force and reduced precongruence criteria disagree on "
                 f"({p.x!r}, {q.x!r}): {verdict.holds} vs {reduced}")
         return verdict
-    lo = p.read(cap - 1)[1] <= q.down(cap - 1)
-    hi = _half(p, q, cap)
-    if lo != hi.holds:
+    if (p.read(cap - 1)[0] <= q.down(cap - 1)) != (p.read(cap)[0] <= q.down(cap)):
         return LesssimHalf(None)
-    return hi
+    return _half(p, q, cap)
 
 
 def sim_verdict(p, q, s: FiniteSemiring, o: PartialOrder, cap: int = 3) -> CongruenceVerdict:
     """Both halves, p <~ q and q <~ p, over one side object per argument:
-    each side is enumerated once per cap (a polynomial once in all), and its
-    value set and down-set serve both lesssim calls.  The witness is the
-    forward half's, else the backward half's."""
+    each side's value set and down-set are built once per cap (a
+    polynomial's once in all) and serve both lesssim calls.  The witness is
+    the forward half's, else the backward half's."""
     p, q = _Side(p, s, o), _Side(q, s, o)
     fwd = lesssim(p, q, s, o, cap)
     bwd = lesssim(q, p, s, o, cap)
@@ -164,7 +179,7 @@ def value_signatures(s: FiniteSemiring) -> dict:
     todo = list(sigs)
     for v, values in todo:
         for a in range(s.n):
-            sig = (s.plus(v, a), values | {s.plus(x, a) for x in values})
+            sig = (s.plus(v, a), _plus_unit(values, a, s))
             if sig not in sigs:
                 sigs[sig] = sigs[(v, values)] + embed_e(a)
                 todo.append(sig)

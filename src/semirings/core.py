@@ -340,7 +340,7 @@ def _certified(s: FiniteSemiring) -> bool:
     - once both distributive laws hold, (ab)c and a(bc) are additive in
       each variable, so agreement on G x G x G suffices.
     G starts with zero, which passes each of these checks by the identity
-    and absorption laws, so the checks run over the rest of G.
+    and absorption laws, so the first two run over the rest of G.
     False says only that the certificate failed, not which law."""
     n, add, mul, zero, one = s.n, s.add, s.mul, s.zero, s.one
     e = tuple(range(n))
@@ -349,19 +349,20 @@ def _certified(s: FiniteSemiring) -> bool:
             and mul_t[one] == tuple(mul[one]) == e
             and mul_t[zero] == tuple(mul[zero]) == (zero,) * n):
         return False
-    gens = _additive_generators(add, zero, n)[1:]
+    gens = _additive_generators(add, zero, n)
+    rest = gens[1:]
     at = [_gather(row) for row in add]  # at[v](row) == row[v+b] over b
     # row x of mul, then column x: x(z+y) against xz+xy over y, then
     # (z+y)x against zx+yx
     for row in (r for x in e for r in (mul[x], mul_t[x])):
         over = _gather(row)
-        if any(at[z](row) != over(add[row[z]]) for z in gens):
+        if any(at[z](row) != over(add[row[z]]) for z in rest):
             return False
     # c+(a+b) against a+(c+b), over b: + associativity by commutativity
-    if any(at[a](add[c]) != at[c](add[a]) for c in gens for a in e):
+    if any(at[a](add[c]) != at[c](add[a]) for c in rest for a in e):
         return False
-    return all(mul[mul[a][b]][c] == mul[a][mul[b][c]]
-               for a in gens for b in gens for c in gens)
+    # (ab)c against a(bc) over c, all three in G, a row of G at a time
+    return _associativity_witness(gens, _Rows(mul, gens)) is None
 
 
 def check_semiring_axioms(s: FiniteSemiring) -> CheckReport:

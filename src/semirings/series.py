@@ -176,13 +176,17 @@ def count_below(p: Polynomial) -> int:
     return math.prod(c + 1 for c in p.coeffs.values())
 
 
+def capped_bounds(r: TruncatedSeries, cap: int) -> dict:
+    """Units of each word allowed below r at the cap: inf as cap, c as min(c, cap)."""
+    return {w: cap if c.rank else min(c.n, cap) for w, c in r.coeffs.items()}
+
+
 def enumerate_below_series(r: TruncatedSeries, cap: int):
     """Polynomials coefficientwise below a series, with infinite coefficients
     capped at the given finite value."""
     if cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap!r}")
-    return _polys_below({w: cap if c.rank else min(c.n, cap)
-                         for w, c in r.coeffs.items()})
+    return _polys_below(capped_bounds(r, cap))
 
 
 # ---------------------------------------------------------------------------

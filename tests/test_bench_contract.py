@@ -130,14 +130,16 @@ def test_sim_verdict_enumerates_through_the_completion_module(monkeypatch):
 
     for name in ("enumerate_below", "enumerate_below_series"):
         monkeypatch.setattr(completion, name, spy(name))
+    # a half is listed only for its witness, so each pair has a failing
+    # half: on boolean, 1*[1] and inf*[1] are not below 1*[0]
     s = gallery.boolean()
     _, order = core.is_orderable(s)
-    p = series.Polynomial({(1,): 1})
-    completion.sim_verdict(p, series.Polynomial({(1,): 2}), s, order)
-    assert "enumerate_below" in calls
+    zero = series.Polynomial({(0,): 1})
+    completion.sim_verdict(series.Polynomial({(1,): 1}), zero, s, order)
+    assert calls == ["enumerate_below"]
     r = series.TruncatedSeries(1, {(1,): gallery.NINF_INF})
-    completion.sim_verdict(p, r, s, order)
-    assert "enumerate_below_series" in calls
+    completion.sim_verdict(r, zero, s, order)
+    assert calls == ["enumerate_below", "enumerate_below_series"]
 
 
 def test_sim_verdict_reads_the_order_through_leq_alone():
@@ -217,6 +219,42 @@ def test_sim_verdict_reaches_every_layer_the_congruence_run_expects(monkeypatch)
             for module in modules:
                 if getattr(module, name, None) is real:
                     monkeypatch.setattr(module, name, spy)
+    # the forward half fails, so its witness reaches the enumerator
     completion.sim_verdict(series.Polynomial({(1,): 1}),
-                           series.Polynomial({(1,): 2}), s, order)
+                           series.Polynomial({(0,): 1}), s, order)
     assert reached == set(expected)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_every_congruence_block_has_a_failing_forward_half(seed):
+    # the traced congruence run reaches series.enumerate_below only
+    # through the witness of a failing half, and it times whole blocks
+    workloads = _load("workloads")
+    ops, _ = workloads.congruence_inputs(seed, blocks=3)
+    block = len(workloads.LADDER)
+    assert block == 20 and len(ops) == 1 + 3 * block
+    for start in range(1, len(ops), block):
+        assert any(op.expect_fwd is False for op in ops[start:start + block]), start
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_every_cli_mix_pass_has_a_congruence_call_with_a_failing_half(seed, tmp_path, monkeypatch):
+    # in cli-mix, series.enumerate_below is reached only for the witness
+    # of such a call
+    assert "series.enumerate_below" in _load("run").EXPECTED_LAYERS["cli-mix"]
+    workloads = _load("workloads")
+    completion = importlib.import_module("semirings.completion")
+    ops, sizes = workloads.cli_inputs(seed, tmp_path)
+    calls = []
+    for name in ("enumerate_below", "enumerate_below_series"):
+        def spy(*args, _real=getattr(completion, name)):
+            calls.append(args)
+            return _real(*args)
+        monkeypatch.setattr(completion, name, spy)
+    congruence = [op for op in ops[:sizes["calls_per_pass"]] if op.argv[0] == "congruence"]
+    # the 128-element member last, since one reaching call is enough
+    for op in sorted(congruence, key=lambda op: workloads.HEAVY in op.argv):
+        assert workloads.check_cli(op, *workloads.run_cli(op.argv)) is None, op.argv
+        if calls:
+            break
+    assert calls

@@ -29,7 +29,7 @@ from semirings.gallery import (NINF_INF, boolean, four_valued,
                                xor_semiring)
 from semirings.series import (POLY_ZERO, Polynomial, TruncatedSeries,
                               count_below, enumerate_below, enumerate_below_series,
-                              evaluate_phi)
+                              evaluate_phi, phi_each, poly_from_text)
 
 
 def ordered_semirings_up_to_3():
@@ -261,39 +261,92 @@ def test_lesssim_with_a_late_dominator_compares_each_element_once():
 
 
 def _count_enumerations(monkeypatch) -> Counter:
-    """Spy on the two enumerators where completion looks them up."""
+    """Spy on the two enumerators where completion looks them up; each call
+    is counted under its name and the cap it was given, if any."""
     calls = Counter()
     for name in ("enumerate_below", "enumerate_below_series"):
         def spy(*args, _name=name, _real=getattr(completion, name)):
-            calls[_name] += 1
+            calls[(_name, *args[1:])] += 1
             return _real(*args)
         monkeypatch.setattr(completion, name, spy)
     return calls
 
 
-def test_sim_verdict_enumerates_each_side_once_per_cap(monkeypatch):
-    # both halves share each side's lists: a polynomial is one list at
-    # every cap, a series one list at cap - 1 and one at cap
+def test_sim_verdict_enumerates_only_for_a_witness(monkeypatch):
+    # a half is decided on value sets; only a failing one lists its
+    # p side, once, at the cap, for the witness
     s = nat_desk(3)
     _, o = is_orderable(s)
     p, q = Polynomial({(1,): 2}), Polynomial({(2,): 1, (1,): 1})
     r = TruncatedSeries(1, {(1,): NINF_INF, (2,): ninf(1)})
     calls = _count_enumerations(monkeypatch)
-    for x, y, want in [(p, q, {"enumerate_below": 2}),
-                       (p, r, {"enumerate_below": 1, "enumerate_below_series": 2}),
-                       (r, q, {"enumerate_below": 1, "enumerate_below_series": 2}),
-                       (r, r, {"enumerate_below_series": 4})]:
+    for x, y in [(q, Polynomial({(1,): 3})), (q, r), (r, q), (r, r)]:
         calls.clear()
-        sim_verdict(x, y, s, o)
-        assert calls == want, (x, y)
-    # a failing half walks p's list again for its witness, enumerating nothing
+        assert sim_verdict(x, y, s, o).sim, (x, y)
+        assert not calls, (x, y)
+    # an inconclusive half enumerates nothing either
+    half = lesssim(TruncatedSeries(1, {(1,): NINF_INF}),
+                   TruncatedSeries(1, {(1,): ninf(2)}), s, o)
+    assert half.inconclusive and not calls
+    # one list for each failing half: q's, then r's at the cap
+    assert sim_verdict(q, p, s, o).witness == q
+    assert calls == {("enumerate_below",): 1}
     calls.clear()
-    assert sim_verdict(q, p, s, o).witness == Polynomial({(2,): 1, (1,): 1})
-    assert calls == {"enumerate_below": 2}
-    # a lone lesssim enumerates each bare argument once per cap it needs
+    assert sim_verdict(p, r, s, o).witness == Polynomial({(2,): 1, (1,): 1})
+    assert calls == {("enumerate_below_series", 3): 1}
+    # on powerset:2, {a} and {b} are incomparable, so both halves fail
     calls.clear()
-    lesssim(p, r, s, o)
-    assert calls == {"enumerate_below": 1, "enumerate_below_series": 2}
+    ps = gallery_semiring("powerset:2").base
+    _, o2 = is_orderable(ps)
+    v = sim_verdict(Polynomial({(1,): 1}), Polynomial({(2,): 1}), ps, o2)
+    assert (v.lesssim_forward, v.lesssim_backward) == (False, False)
+    assert calls == {("enumerate_below",): 2}
+    # a lone lesssim that holds enumerates neither bare argument
+    calls.clear()
+    assert lesssim(p, r, s, o).holds
+    assert not calls
+
+
+def test_value_sets_are_the_phi_image_of_the_below_set():
+    rng = random.Random(28)
+    tables = list({id(s): s for s, _ in _ordered_pairs_up_to_4()}.values())
+    tables += [gallery_semiring("powerset:2").base, *(nat_desk(k) for k in range(2, 6))]
+    assert len(tables) > 60
+    for s in tables:
+        _, o = is_orderable(s)
+        for x in [_random_poly(rng, s, max_coeff=3) for _ in range(3)] + [
+                _random_series(rng, s) for _ in range(3)]:
+            side = completion._Side(x, s, o)
+            for cap in (1, 2, 3):
+                below = (enumerate_below(x) if isinstance(x, Polynomial)
+                         else enumerate_below_series(x, cap))
+                assert side.read(cap)[0] == {evaluate_phi(y, s) for y in below}, (s, x, cap)
+
+
+def test_value_set_refuses_a_foreign_letter_as_the_list_does():
+    # the list first reaches the shortlex-last word, here [3.0]
+    s = boolean()
+    _, o = is_orderable(s)
+    x = Polynomial({(0, 2): 1, (1,): 2, (3, 0): 1})
+    with pytest.raises(ValueError) as want:
+        list(phi_each(enumerate_below(x), s))
+    with pytest.raises(ValueError) as got:
+        sim_verdict(x, POLY_ZERO, s, o)
+    assert str(got.value) == str(want.value) == "letter 3 is not in the carrier"
+
+
+def test_sim_verdict_of_a_huge_below_set_enumerates_nothing(monkeypatch):
+    # 301**3 polynomials lie below this side; listing them took over 20 s
+    s = boolean()
+    _, o = is_orderable(s)
+    p = poly_from_text("300*[1] + 300*[0] + 300*[]", s)
+
+    def refuse(*args):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(completion, "enumerate_below", refuse)
+    monkeypatch.setattr(completion, "enumerate_below_series", refuse)
+    assert sim_verdict(p, p, s, o) == completion.CongruenceVerdict(True, True, None)
 
 
 # -- the congruence collapse --------------------------------------------------------

@@ -11,7 +11,8 @@ from semirings.completion import collapse_holds
 from semirings.core import (FiniteSemiring, OpTable,
                             InternalConsistencyError, PartialOrder,
                             StructureError, _additive_generators,
-                            _antisymmetry_witness, _certified,
+                            _antisymmetry_witness, _associativity_witness,
+                            _certified, _Rows,
                             _comm_monoid_tables, _distributive_partners,
                             absorption_witness, all_partial_orders,
                             check_ordered_semiring, check_semiring_axioms,
@@ -814,6 +815,40 @@ def test_certificate_passes_no_one_cell_overwrite_of_lang_1_5_that_breaks_a_law(
     for t in one_cell_overwrites(s):
         if _certified(t):
             assert generator_law_violations(range(t.n), t.add, t.mul, t.zero, t.one) == []
+
+
+def generator_associative_over(mul, gens) -> bool:
+    """The certificate's last step as the triple loop it was, kept as the
+    oracle: (ab)c == a(bc) for all a, b and c in gens."""
+    return all(mul[mul[a][b]][c] == mul[a][mul[b][c]]
+               for a in gens for b in gens for c in gens)
+
+
+def test_certificate_matches_the_generators_on_perturbed_tables():
+    rnd = random.Random(2028)
+    passed = 0
+    for _ in range(3000):
+        s = perturbed_table(rnd, rnd.randint(2, 6))
+        gens = _additive_generators(s.add, s.zero, s.n)
+        assert ((_associativity_witness(gens, _Rows(s.mul, gens)) is None)
+                == generator_associative_over(s.mul, gens)), s
+        lawful = not generator_law_violations(range(s.n), s.add, s.mul, s.zero, s.one)
+        assert _certified(s) == lawful, s
+        passed += lawful
+    assert 100 < passed < 2000
+
+
+def test_certificate_associativity_step_matches_the_generator_on_lang_2_2():
+    # every one-cell overwrite of mul, over the 8 additive generators
+    s = _tables("lang:2:2")
+    gens = _additive_generators(s.add, s.zero, s.n)
+    broken = 0
+    for t in one_cell_overwrites(s):
+        if t.mul is not s.mul:
+            holds = _associativity_witness(gens, _Rows(t.mul, gens)) is None
+            assert holds == generator_associative_over(t.mul, gens)
+            broken += not holds
+    assert broken > 30
 
 
 def test_transitivity_masks_match_the_triple_loop():
