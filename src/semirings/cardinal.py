@@ -719,13 +719,15 @@ def _distributivity_violations(c: SigmaSemiring, sigma, x, f: CardinalFamily, to
 
 def check_sigma_table(c: SigmaSemiring) -> CheckReport:
     """The Sigma axioms, d-completeness and finitarity over every family,
-    decided exactly on a finite carrier whose order is compatible (zero
-    least, + monotone) and whose Sigma is key-additive: the sum over the
-    keys v of Sigma({v: m_v}).  Finite multiplicities sum by the fold, so
-    the table T_k(v) = Sigma({v: k}), k in aleph0 and uncountable, fixes
-    Sigma, and each law becomes row compares on it, each row an instance of the
-    law on a family of one or two keys: zero, T_k(0) = 0; split,
-    v + T_k(v) = T_k(v) and T_k + T_m = T_max(k,m); repetition,
+    decided exactly on a finite carrier with a compatible order (zero least,
+    + monotone): a completion, or a target of universal_property_check.
+    Exactness rests on key-additivity, Sigma(f) = the sum over the keys v of
+    Sigma({v: m_v}), which every lawful finite Sigma has: a family splits
+    into its finitely many key blocks.  Finite multiplicities sum by the
+    fold, so the table T_k(v) = Sigma({v: k}), k in aleph0 and uncountable,
+    fixes Sigma, and each law becomes row compares on it, each row an
+    instance of the law on a family of one or two keys: zero, T_k(0) = 0;
+    split, v + T_k(v) = T_k(v) and T_k + T_m = T_max(k,m); repetition,
     T_k(a + b) = T_k(a) + T_k(b) and T_k(T_m(v)) = T_max(k,m)(v);
     distributivity, x * T_k(v) = T_k(x * v) on both sides.  Under the order
     the partial sums of v, v, ... end at the last of v's multiples, the sup
@@ -733,9 +735,8 @@ def check_sigma_table(c: SigmaSemiring) -> CheckReport:
     add, so Sigma is d-complete iff T_aleph0 is the last multiple, and
     finitary iff T_aleph0 and T_uncountable are the sup, which is read from
     the order's up-sets, not from Sigma.  Each failed row reports its least
-    instance.  The verdict is exact; the laws named are exact while the
-    split rows hold, since a failed split can hide a failure over merged
-    keys."""
+    instance; the laws named are exact while the split rows hold, since a
+    failed split can hide a failure over merged keys."""
     keys = range(c.base.n)
     tables = {k: tuple(c.sigma(CardinalFamily({v: k})) for v in keys)
               for k in (ALEPH0, UNCOUNTABLE)}

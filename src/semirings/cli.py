@@ -130,8 +130,7 @@ def _load_sigma(source: str) -> SigmaSemiring:
     if isinstance(member, FiniteSemiring):
         return completion_semiring(member)
     if not member.has_sigma:
-        raise InputError(f"{source} carries no infinite-sum operator; "
-                         f"try 'complete {source}'")
+        raise InputError(f"{source} carries no infinite-sum operator")
     return member
 
 

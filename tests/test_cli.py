@@ -112,6 +112,13 @@ def test_complete_nat_is_refused_as_an_infinite_carrier():
             f"error: {name} has an infinite carrier; this command needs tables"]
 
 
+@pytest.mark.parametrize("command", ["dcomplete", "finitary"])
+def test_sigma_commands_refuse_nat_without_naming_a_refused_command(capsys, command):
+    # `complete nat` is itself refused, so the message suggests nothing
+    assert cli.main([command, "nat"]) == 2
+    assert capsys.readouterr() == ("", "error: nat carries no infinite-sum operator\n")
+
+
 def test_dcomplete_three_valued_fails_with_witness():
     result = run_cli(["dcomplete", "three-valued", "--format", "json",
                       "--battery", "100"])

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from semirings import completion
+from semirings import cardinal, completion
 from semirings.cardinal import (ALEPH0, CardinalFamily, FIN1, SigmaSemiring,
                                 UNCOUNTABLE, check_sigma_axioms,
                                 check_sigma_table, family_battery, fin,
@@ -22,8 +22,8 @@ from semirings.core import (CheckReport, FiniteSemiring,
                             _comm_monoid_tables, _distributive_partners,
                             all_partial_orders,
                             check_ordered_semiring, enumerate_semirings,
-                            is_orderable)
-from semirings.gallery import (NINF_INF, boolean, four_valued,
+                            is_orderable, is_zero_sum_free)
+from semirings.gallery import (NINF_INF, adjoin_infinity, boolean, four_valued,
                                gallery_semiring, language_semiring, nat_desk,
                                nat_infinity, ninf, powerset_semiring,
                                xor_semiring)
@@ -736,6 +736,174 @@ def test_identity_embedding_into_own_completion():
         comp = completion_of_finite(s, o).semiring
         assert universal_property_check(s, o, comp,
                                         {i: i for i in range(s.n)}).passed
+
+
+def _sampled_universal_property_check(s, o, t, f_map):
+    """The sampled universal-property check the exact one replaced, kept as
+    its oracle: a 120-family finitarity battery on t, then 120 families of
+    the completion compared under f, both drawn from seed 0."""
+    rng = range(s.n)
+    if sorted(f_map) != list(rng):
+        raise EmbeddingError("map must be defined on the whole carrier")
+    images = [f_map[a] for a in rng]
+    if len(set(images)) != s.n:
+        raise EmbeddingError("map is not injective")
+    if not all(t.contains(v) for v in images):
+        raise EmbeddingError("image lies outside the target carrier")
+    if f_map[s.zero] != t.zero or f_map[s.one] != t.one:
+        raise EmbeddingError("map does not preserve the constants")
+    for a in rng:
+        for b in rng:
+            if f_map[s.plus(a, b)] != t.plus(f_map[a], f_map[b]):
+                raise EmbeddingError(f"addition not preserved at ({a},{b})")
+            if f_map[s.times(a, b)] != t.times(f_map[a], f_map[b]):
+                raise EmbeddingError(f"multiplication not preserved at ({a},{b})")
+            if o.leq(a, b) and not t.leq(f_map[a], f_map[b]):
+                raise EmbeddingError(f"order not preserved at ({a},{b})")
+    if not t.has_order:
+        raise NotFinitaryError(f"{t.name} carries no order")
+    ok, wit = is_finitary(t, family_battery(t, 0, 120))
+    if not ok:
+        raise NotFinitaryError(f"{t.name} is not finitary: {wit}")
+
+    comp = completion.completion_semiring(s, o)
+    violations = []
+    for fam in family_battery(comp, 0, 120):
+        lhs = f_map[comp.sigma(fam)]
+        rhs = t.sigma(fam.map_keys(lambda v: f_map[v]))
+        if lhs != rhs:
+            violations.append(("universal-sigma-preservation", (fam, lhs, rhs)))
+            break
+    return CheckReport.build(violations)
+
+
+def _respects(s, o, t, f):
+    """Whether the partial map f keeps +, * and the order wherever f is
+    defined on both arguments and on the result."""
+    for a in f:
+        for b in f:
+            for op, t_op in ((s.plus, t.plus), (s.times, t.times)):
+                if op(a, b) in f and f[op(a, b)] != t_op(f[a], f[b]):
+                    return False
+            if o.leq(a, b) and not t.leq(f[a], f[b]):
+                return False
+    return True
+
+
+def _embeddings(s, o, t):
+    """Every map of s into the finite carrier t that passes the embedding
+    checks, by backtracking: 0 and 1 fixed, then each further element of s
+    sent to each unused element of t that keeps the partial map consistent."""
+    if (s.zero == s.one) != (t.zero == t.one):
+        return
+    f = {s.zero: t.zero, s.one: t.one}
+    rest = [a for a in range(s.n) if a not in f]
+
+    def extend(i):
+        if not _respects(s, o, t, f):
+            return
+        if i == len(rest):
+            yield dict(f)
+            return
+        for x in [x for x in range(t.base.n) if x not in f.values()]:
+            f[rest[i]] = x
+            yield from extend(i + 1)
+            del f[rest[i]]
+
+    yield from extend(0)
+
+
+def _universal_targets():
+    """The finite ordered targets: powersets, languages and the two chains
+    from the gallery, the ordered infinity adjunctions of the zero-sum-free
+    tables of size <= 3, and the completions of the one-element table and of
+    every ordered table of size <= 4 whose order is not a chain."""
+    named = [gallery_semiring(name) for name in (
+        "powerset:2", "powerset:3", "powerset:4", "lang:1:2", "lang:1:3",
+        "lang:2:1", "three-valued", "four-valued")]
+    adjunctions = [adjoin_infinity(s) for n in (1, 2, 3) for s in enumerate_semirings(n)
+                   if is_zero_sum_free(s)[0]]
+    completions = [completion.completion_semiring(s, o) for s, o in _ordered_pairs_up_to_4()
+                   if s.n == 1 or not all(o.leq(a, b) or o.leq(b, a)
+                                          for a in range(s.n) for b in range(s.n))]
+    return named + [t for t in adjunctions if t.has_order] + completions
+
+
+def _verdict(check, s, o, t, f_map):
+    try:
+        return check(s, o, t, f_map).passed
+    except NotFinitaryError:
+        return "not finitary"
+
+
+def test_universal_property_is_decided_exactly_on_every_small_embedding():
+    # every embedding of every ordered table of size <= 4 into each target:
+    # the certified targets pass, the rest are refused, as the sampled
+    # oracle decides; the oracle runs on each target's first embedding
+    targets = _universal_targets()
+    assert len(targets) == 8 + 6 + 20
+    verdicts = Counter()
+    for t in targets:
+        embeddings = [(s, o, f) for s, o in _ordered_pairs_up_to_4()
+                      for f in _embeddings(s, o, t)]
+        s, o, f = embeddings[0]
+        assert (_verdict(universal_property_check, s, o, t, f)
+                == _verdict(_sampled_universal_property_check, s, o, t, f)), (t.name, f)
+        verdicts.update((t.name, _verdict(universal_property_check, s, o, t, f))
+                        for s, o, f in embeddings)
+    assert verdicts == {
+        ("powerset:2", True): 5, ("powerset:3", True): 25, ("powerset:4", True): 101,
+        ("lang:1:2", True): 9, ("lang:1:3", True): 25, ("lang:2:1", True): 14,
+        ("three-valued", "not finitary"): 2, ("four-valued", "not finitary"): 5,
+        ("adjoin-inf:1", True): 1, ("adjoin-inf:2", "not finitary"): 2,
+        ("adjoin-inf:3", "not finitary"): 16, ("completion", True): 68}
+
+
+
+def test_universal_property_reports_a_planted_miss_outside_the_battery_sample(monkeypatch):
+    # the completion's T_aleph0 sends the key {a} of lang:1:5, which no
+    # battery of eight sampled keys reaches, to zero
+    lang = language_semiring("a", 5)
+    key = lang.base.index_of("{a}")
+    miss = CardinalFamily({key: ALEPH0})
+    completion_semiring = completion.completion_semiring
+
+    def planted(s, o=None):
+        comp = completion_semiring(s, o)
+        return SigmaSemiring.from_finite(
+            "planted", s, lambda f: s.zero if f == miss else comp.sigma(f), o)
+
+    monkeypatch.setattr(completion, "completion_semiring", planted)
+    assert key not in planted(lang.base, lang.order).sample(8)
+    report = universal_property_check(lang.base, lang.order, lang,
+                                      {v: v for v in range(lang.base.n)})
+    assert report.violations == (("universal-sigma-preservation", (miss, lang.zero, key)),)
+
+
+def test_universal_property_draws_no_battery(monkeypatch):
+    def sampled(*args):
+        raise AssertionError("the universal property is decided without sampling")
+
+    monkeypatch.setattr(cardinal, "family_battery", sampled)
+    monkeypatch.setattr(cardinal, "is_finitary", sampled)
+    assert not {"family_battery", "is_finitary"} & set(vars(completion))
+    s = boolean()
+    _, o = is_orderable(s)
+    for name in ("powerset:4", "lang:2:1"):
+        t = gallery_semiring(name)
+        assert universal_property_check(s, o, t, {0: t.zero, 1: t.one}).passed
+
+
+def test_universal_property_refuses_a_symbolic_target():
+    # boolean's own operations on a symbolic carrier pass every embedding
+    # check, but a symbolic carrier has no Sigma table to certify
+    s = boolean()
+    _, o = is_orderable(s)
+    t = SigmaSemiring("symbolic-boolean", zero=0, one=1, plus=s.plus, times=s.times,
+                      sigma_fn=completion.completion_semiring(s, o).sigma,
+                      leq=o.leq, contains=lambda v: v in (0, 1))
+    with pytest.raises(NotFinitaryError, match="symbolic"):
+        universal_property_check(s, o, t, {0: 0, 1: 1})
 
 
 # -- the negative result ----------------------------------------------------------------
